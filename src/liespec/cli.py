@@ -521,7 +521,7 @@ def _cmd_heat_trace(args, seed) -> CommandReport:
     report = CommandReport(command=_echo(args), seed=seed,
                            normalization=backend.normalization)
     cross = args.cross_check
-    if cross and backend.kind != "heisenberg":
+    if cross and backend.cross_check is None:
         raise CLIError("--cross-check is defined for the heisenberg backend")
     columns = ["t", "trace"]
     if cross:
@@ -532,7 +532,7 @@ def _cmd_heat_trace(args, seed) -> CommandReport:
         val = heat_trace_l2(backend, t)
         row = [t, val]
         if cross:
-            other = h1_heat_kernel(2.0 * t)
+            other = backend.cross_check(t)
             rel = abs(val - other) / abs(val)
             worst = max(worst, rel)
             row += [other, rel]

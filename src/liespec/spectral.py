@@ -1,11 +1,12 @@
 """Concrete spectral backends and growth-law verification.
 
-Three backends with computable spectral data are provided:
+Three backends, one ``SpectralBackend`` subclass each, are provided:
 
 * ``torus(n)``: probability Haar on [0,1)^n, Laplacian eigenvalues
   |2 pi xi|^2 over the integer lattice;
 * ``heisenberg``: Lebesgue Haar on R^3 in exponential coordinates, the
-  standard sub-Laplacian on the 3-dimensional Heisenberg group;
+  standard sub-Laplacian on the 3-dimensional Heisenberg group; its
+  ``cross_check(t)`` is the heat kernel at 2t, a second heat-trace route;
 * ``su2``: probability Haar, the invariant sub-Laplacian built from two of
   the three rotation generators, spectrum l(l+1) - k^2 with multiplicity
   2l+1 per weight vector, integer l.
@@ -31,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 from scipy.integrate import quad
@@ -60,19 +61,81 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class SpectralBackend:
-    kind: str                  # "torus" | "heisenberg" | "su2"
-    n: int                     # torus dimension (1 otherwise)
+    """One group's spectrum: ``count(s)`` on (0, s) with multiplicity,
+    ``heat_trace(t)``, and ``cross_check``: None or a second route to it."""
+    name: str
     Q_star: Fraction
     m: Fraction
     normalization: str
-
-    @property
-    def name(self) -> str:
-        return f"torus{self.n}" if self.kind == "torus" else self.kind
+    cross_check: ClassVar[Callable[[float], float] | None] = None
 
     @property
     def growth_target(self) -> Fraction:
         return self.Q_star / self.m
+
+    def count(self, s: float) -> float:
+        raise NotImplementedError
+
+    def heat_trace(self, t: float) -> float:
+        raise NotImplementedError
+
+
+@dataclass(frozen=True)
+class _Torus(SpectralBackend):
+    n: int
+
+    def count(self, s: float) -> int:
+        # integer |xi|^2 < radius2 iff |xi|^2 <= ceil(radius2) - 1
+        radius2 = s / (4.0 * math.pi ** 2)
+        return _ball_count(self.n, math.ceil(radius2) - 1) - 1
+
+    def heat_trace(self, t: float) -> float:
+        a = 8.0 * math.pi ** 2 * t      # theta(a) = sum_{k in Z} exp(-a k^2)
+        k = np.arange(1, int(math.ceil(math.sqrt(45.0 / a))) + 2, dtype=float)
+        theta = 1.0 + 2.0 * float(np.exp(-a * k * k).sum())
+        return theta ** self.n - 1.0
+
+
+class _Heisenberg(SpectralBackend):
+    def count(self, s: float) -> float:
+        return h1_counting_constant() * s * s
+
+    def heat_trace(self, t: float) -> float:
+        # int_0^inf exp(-2 t lam) d(kappa lam^2) = kappa / (2 t^2)
+        return h1_counting_constant() / (2.0 * t * t)
+
+    def cross_check(self, t: float) -> float:
+        return h1_heat_kernel(2.0 * t)
+
+
+class _Su2(SpectralBackend):
+    def count(self, s: float) -> int:
+        # integer eigenvalues below s are <= top; level l starts at l.
+        # int64 holds l(l+1) and the total (~2.47 s^2) while s < 1.9e9
+        top = math.ceil(s) - 1
+        levels = np.arange(1, top + 1, dtype=np.int64)
+        return int(_su2_level_counts(levels, top).sum())
+
+    def heat_trace(self, t: float) -> float:
+        total = 0.0
+        l = 1
+        while True:
+            k = np.arange(-l, l + 1, dtype=float)
+            evs = l * (l + 1) - k * k
+            term = (2 * l + 1) * float(np.exp(-2.0 * t * evs).sum())
+            total += term
+            # Eigenvalues at level j are >= j, so the remainder is below
+            # sum_{j>l} (2j+1)^2 exp(-2tj); sum the quadratic-in-j geometric
+            # moments exactly.
+            r = math.exp(-2.0 * t)
+            A = 2 * (l + 1) + 1
+            tail = math.exp(-2.0 * t * (l + 1)) * (
+                A * A / (1 - r)
+                + 4.0 * A * r / (1 - r) ** 2
+                + 4.0 * r * (1 + r) / (1 - r) ** 3)
+            if tail < 1e-15 * max(total, 1e-300):
+                return total
+            l += 1
 
 
 def _contracted_qstar(catalog_name: str) -> Fraction:
@@ -94,61 +157,55 @@ def make_backend(name: str) -> SpectralBackend:
         if n < 1:
             raise ValueError("torus dimension must be >= 1")
         q = _contracted_qstar(f"abelian{n}")
-        return SpectralBackend(
-            "torus", n, q, Fraction(2),
-            "probability Haar on [0,1)^n; eigenvalues |2*pi*xi|^2")
+        return _Torus(
+            f"torus{n}", q, Fraction(2),
+            "probability Haar on [0,1)^n; eigenvalues |2*pi*xi|^2", n)
     if key == "heisenberg":
         q = _contracted_qstar("heisenberg1")
-        return SpectralBackend(
-            "heisenberg", 1, q, Fraction(2),
+        return _Heisenberg(
+            "heisenberg", q, Fraction(2),
             "Lebesgue Haar on R^3 (exponential coordinates); "
             "Landau-fiber Plancherel |lam| dlam / (2 pi)^2")
     if key == "su2":
         q = _contracted_qstar("su2")
-        return SpectralBackend(
-            "su2", 1, q, Fraction(2),
+        return _Su2(
+            "su2", q, Fraction(2),
             "probability Haar; integer highest weights, eigenvalues "
             "l(l+1) - k^2 with multiplicity 2l+1")
     raise KeyError(f"unknown backend {name!r} (use torus<n>, heisenberg, su2)")
 
 
 # ---------------------------------------------------------------------------
-# Counting functions
+# Counting functions and heat traces
 # ---------------------------------------------------------------------------
 
-def _largest_square_below(r: float) -> int:
-    """Largest integer j >= 0 with j*j < r (0 if none)."""
-    if r <= 0:
-        return -1
-    j = int(math.floor(math.sqrt(r)))
-    while j * j >= r:
-        j -= 1
-    while (j + 1) * (j + 1) < r:
-        j += 1
-    return j
+def _isqrt(a: np.ndarray) -> np.ndarray:
+    """Exact floor(sqrt(a)) for an int64 array with 0 <= a < 2^62: there the
+    float root is off by at most one and (r+1)^2 does not overflow."""
+    r = np.sqrt(a.astype(np.float64)).astype(np.int64)
+    r -= r * r > a
+    r += (r + 1) * (r + 1) <= a
+    return r
 
 
-def _lattice_count_strict(n: int, radius2: float) -> int:
-    """#{xi in Z^n : |xi|^2 < radius2}, strict, including the origin."""
-    if radius2 <= 0:
-        return 0
+def _ball_count(n: int, R: int) -> int:
+    """#{xi in Z^n : |xi|^2 <= R} for an integer R >= 0, origin included."""
     if n == 1:
-        return 2 * _largest_square_below(radius2) + 1
-    kmax = _largest_square_below(radius2)
-    ks = np.arange(-kmax, kmax + 1, dtype=np.int64)
+        return 2 * math.isqrt(R) + 1
+    k = np.arange(math.isqrt(R) + 1, dtype=np.int64)
+    rem = R - k * k                 # what the last n-1 axes may still use
     if n == 2:
-        rem = radius2 - ks.astype(float) ** 2
-        jmax = np.floor(np.sqrt(np.maximum(rem, 0.0))).astype(np.int64)
-        # enforce strict inequality against float rounding
-        for _ in range(2):
-            jmax = np.where(jmax * jmax >= rem, jmax - 1, jmax)
-        jmax = np.where((jmax + 1) * (jmax + 1) < rem, jmax + 1, jmax)
-        counts = np.where(rem > 0, 2 * jmax + 1, 0)
-        return int(counts.sum())
-    total = 0
-    for k in ks:
-        total += _lattice_count_strict(n - 1, radius2 - float(k) ** 2)
-    return total
+        lines = 2 * _isqrt(rem) + 1
+    else:
+        lines = np.array([_ball_count(n - 1, r) for r in rem.tolist()])
+    return 2 * int(lines.sum()) - int(lines[0])     # k and -k, once for 0
+
+
+def _su2_level_counts(l: np.ndarray, top: int) -> np.ndarray:
+    """Per int64 level l: (2l+1) #{|k| <= l : l(l+1) - k^2 <= top}."""
+    g = l * (l + 1) - top           # level l keeps the k with k^2 >= g
+    dropped = np.where(g > 0, 2 * _isqrt(np.maximum(g - 1, 0)) + 1, 0)
+    return (2 * l + 1) * (2 * l + 1 - dropped)
 
 
 def h1_counting_constant() -> float:
@@ -158,32 +215,19 @@ def h1_counting_constant() -> float:
 
 
 def counting_function(backend: SpectralBackend, s: float) -> float:
-    """Spectral counting over the open interval (0, s); zero modes excluded."""
+    """Spectral counting over the open interval (0, s); zero modes excluded.
+    A float for reports: exact below 2^53 (su2 passes it near s = 9.5e7)."""
     if s <= 0:
         raise ValueError("s must be positive")
-    if backend.kind == "torus":
-        radius2 = s / (4.0 * math.pi ** 2)
-        return float(_lattice_count_strict(backend.n, radius2) - 1)
-    if backend.kind == "heisenberg":
-        return h1_counting_constant() * s * s
-    if backend.kind == "su2":
-        lmax = int(math.ceil(s))          # eigenvalue at |k| = l equals l
-        if lmax <= 1:
-            return 0.0
-        l = np.arange(1, lmax, dtype=np.int64)
-        c = l * (l + 1)
-        gap = c.astype(float) - s
-        full = gap < 0
-        # smallest integer jmin with jmin^2 > gap, then k ranges over
-        # +-jmin..+-l (strictness keeps eigenvalue-s ties out)
-        jmin = np.floor(np.sqrt(np.maximum(gap, 0.0))).astype(np.int64)
-        jmin = np.maximum(jmin - 1, 0)
-        for _ in range(3):
-            jmin = np.where(jmin * jmin <= gap, jmin + 1, jmin)
-        partial = np.where(jmin <= l, 2 * (l - jmin + 1), 0)
-        per_level = np.where(full, 2 * l + 1, partial)
-        return float(((2 * l + 1) * per_level).sum())
-    raise AssertionError(f"unhandled backend kind {backend.kind}")
+    return float(backend.count(s))
+
+
+def heat_trace_l2(backend: SpectralBackend, t: float) -> float:
+    """L2 norm squared of the heat kernel, integrated against the counting
+    measure over (0, inf); zero modes never contribute."""
+    if t <= 0:
+        raise ValueError("t must be positive")
+    return backend.heat_trace(t)
 
 
 def su2_sublaplacian_spectrum(l_max: int) -> list[tuple[int, int]]:
@@ -263,51 +307,6 @@ def h1_heat_kernel(t: float, point: Sequence[float] = (0.0, 0.0, 0.0),
             f"heat kernel quadrature did not converge at t={t}, point="
             f"({x}, {y}, {u}): value {val:.3e}, error estimate {err:.3e}")
     return val
-
-
-# ---------------------------------------------------------------------------
-# Heat traces
-# ---------------------------------------------------------------------------
-
-def _theta_sum(a: float) -> float:
-    """sum_{k in Z} exp(-a k^2) for a > 0."""
-    kmax = int(math.ceil(math.sqrt(45.0 / a))) + 1
-    k = np.arange(1, kmax + 1, dtype=float)
-    return 1.0 + 2.0 * float(np.exp(-a * k * k).sum())
-
-
-def heat_trace_l2(backend: SpectralBackend, t: float) -> float:
-    """L2 norm squared of the heat kernel, integrated against the counting
-    measure over (0, inf); zero modes never contribute."""
-    if t <= 0:
-        raise ValueError("t must be positive")
-    if backend.kind == "torus":
-        theta = _theta_sum(8.0 * math.pi ** 2 * t)
-        return theta ** backend.n - 1.0
-    if backend.kind == "heisenberg":
-        # int_0^inf exp(-2 t lam) d(kappa lam^2) = kappa / (2 t^2)
-        return h1_counting_constant() / (2.0 * t * t)
-    if backend.kind == "su2":
-        total = 0.0
-        l = 1
-        while True:
-            k = np.arange(-l, l + 1, dtype=float)
-            evs = l * (l + 1) - k * k
-            term = (2 * l + 1) * float(np.exp(-2.0 * t * evs).sum())
-            total += term
-            # Eigenvalues at level j are >= j, so the remainder is below
-            # sum_{j>l} (2j+1)^2 exp(-2tj); sum the quadratic-in-j geometric
-            # moments exactly.
-            r = math.exp(-2.0 * t)
-            A = 2 * (l + 1) + 1
-            tail = math.exp(-2.0 * t * (l + 1)) * (
-                A * A / (1 - r)
-                + 4.0 * A * r / (1 - r) ** 2
-                + 4.0 * r * (1 + r) / (1 - r) ** 3)
-            if tail < 1e-15 * max(total, 1e-300):
-                return total
-            l += 1
-    raise AssertionError(f"unhandled backend kind {backend.kind}")
 
 
 # ---------------------------------------------------------------------------

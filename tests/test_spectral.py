@@ -18,6 +18,7 @@ from liespec.spectral import (
     torus_embedding_witness,
     verify_growth,
 )
+from liespec.spectral import _su2_level_counts
 
 TORUS1 = make_backend("torus1")
 TORUS2 = make_backend("torus2")
@@ -57,15 +58,18 @@ class TestCountingFunction:
         assert counting_function(TORUS1, 40.0) == 2
 
     def test_torus2_against_enumeration(self):
-        rng = random.Random(17)
-        for _ in range(10):
-            s = rng.uniform(30.0, 4000.0)
-            r2 = s / (4 * math.pi ** 2)
-            k = int(math.isqrt(int(r2)) + 2)
-            xs = np.arange(-k, k + 1)
-            gx, gy = np.meshgrid(xs, xs)
-            inside = (gx ** 2 + gy ** 2 < r2) & ((gx != 0) | (gy != 0))
-            assert counting_function(TORUS2, s) == int(inside.sum())
+        # torus1 and torus3 too: torus3 runs the recursion over dimensions
+        for n in (1, 2, 3):
+            backend = make_backend(f"torus{n}")
+            rng = random.Random(17)
+            for _ in range(10):
+                s = rng.uniform(30.0, 4000.0)
+                r2 = s / (4 * math.pi ** 2)
+                k = int(math.isqrt(int(r2)) + 2)
+                grid = np.meshgrid(*[np.arange(-k, k + 1)] * n)
+                norm2 = sum(g ** 2 for g in grid)
+                inside = (norm2 < r2) & (norm2 != 0)
+                assert counting_function(backend, s) == inside.sum(), (n, s)
 
     def test_su2_at_two(self):
         # l = 1, k = +-1 give eigenvalue 1 with multiplicity 3 each; the
@@ -74,8 +78,9 @@ class TestCountingFunction:
 
     def test_su2_against_enumeration(self):
         rng = random.Random(5)
-        for _ in range(8):
-            s = rng.uniform(1.0, 200.0)
+        # every integer >= 1 is an eigenvalue (k = l): integer s are ties
+        ties = [1, 2, 5, 12, 57, 200]
+        for s in [rng.uniform(1.0, 200.0) for _ in range(8)] + ties:
             brute = 0
             for l in range(0, int(s) + 2):
                 for k in range(-l, l + 1):
@@ -83,6 +88,18 @@ class TestCountingFunction:
                     if 0 < ev < s:
                         brute += 2 * l + 1
             assert counting_function(SU2, s) == brute, s
+
+    def test_su2_levels_exact_beyond_float_precision(self):
+        # l(l+1) > 2^53 here; a float threshold test dropped level 99,999,999
+        s = 99_999_999.5
+        levels = np.arange(99_999_990, 100_000_000, dtype=np.int64)
+        got = _su2_level_counts(levels, math.ceil(s) - 1).tolist()
+        for l, value in zip(levels.tolist(), got):
+            kept, k = 0, l        # eigenvalues l(l+1) - k^2 grow as |k| falls
+            while k >= 0 and l * (l + 1) - k * k < s:
+                kept += 1 if k == 0 else 2
+                k -= 1
+            assert kept > 0 and value == (2 * l + 1) * kept, l
 
     def test_heisenberg_exact_homogeneity(self):
         rng = random.Random(3)
