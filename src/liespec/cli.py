@@ -59,7 +59,6 @@ from .forms import (
 from .lie_core import LieAlgebra
 from .spectral import (
     MultiplierSpec,
-    counting_function,
     fit_power_exponent,
     h1_heat_kernel,
     heat_lp_lq_bound,
@@ -75,7 +74,6 @@ from .weighted import (
     check_grading,
     contract,
     filtration_law_holds,
-    is_algebraic_basis,
     is_reduced,
     isomorphic_to_heisenberg1,
     reduce_basis,
@@ -371,12 +369,16 @@ def _cmd_contract(args, seed) -> CommandReport:
     return report
 
 
+def _filtration_or_error(spec: AlgebraSpec, basis: WeightedBasis):
+    try:
+        return build_filtration(spec.algebra, basis)
+    except ValueError:
+        raise CLIError("the selected elements do not form an algebraic basis")
+
+
 def _cmd_filtration(args, seed) -> CommandReport:
     spec = parse_algebra_spec(args.algebra)
-    basis = _basis_from_args(spec, args)
-    if not is_algebraic_basis(spec.algebra, basis):
-        raise CLIError("the selected elements do not form an algebraic basis")
-    filt = build_filtration(spec.algebra, basis)
+    filt = _filtration_or_error(spec, _basis_from_args(spec, args))
     report = CommandReport(command=_echo(args), seed=seed)
     rows = []
     for jump, space in zip(filt.jumps, filt.spaces):
@@ -390,9 +392,7 @@ def _cmd_filtration(args, seed) -> CommandReport:
 def _cmd_reduce(args, seed) -> CommandReport:
     spec = parse_algebra_spec(args.algebra)
     basis = _basis_from_args(spec, args)
-    if not is_algebraic_basis(spec.algebra, basis):
-        raise CLIError("the selected elements do not form an algebraic basis")
-    before = build_filtration(spec.algebra, basis)
+    before = _filtration_or_error(spec, basis)
     reduced = reduce_basis(spec.algebra, basis)
     after = build_filtration(spec.algebra, reduced)
     report = CommandReport(command=_echo(args), seed=seed)

@@ -8,12 +8,15 @@ keeping, for each bracket of adapted basis vectors, only the components of
 exactly additive weight.
 
 All computations here are exact; the filtration jumps, reducedness and the
-contraction's structure constants are discrete rational data.
+contraction's structure constants are discrete rational data.  One level loop
+builds the filtration and decides whether a family is an algebraic basis;
+each public call builds one filtration and passes it on.
 """
 
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -29,9 +32,6 @@ from .lie_core import (
     is_zero,
     solve_coordinates,
     span,
-    vec_add,
-    vec_scale,
-    zero_vector,
 )
 
 
@@ -118,23 +118,14 @@ class Filtration:
 
     def at(self, lam: Fraction) -> Subspace:
         """F_lam = space at the largest jump <= lam."""
-        current = Subspace.zero(self.ambient_dim)
-        for j, s in zip(self.jumps, self.spaces):
-            if j <= lam:
-                current = s
-            else:
-                break
-        return current
+        return self._space_before(bisect_right(self.jumps, lam))
 
     def below(self, lam: Fraction) -> Subspace:
         """F_lam^- = union of F_mu over mu < lam."""
-        current = Subspace.zero(self.ambient_dim)
-        for j, s in zip(self.jumps, self.spaces):
-            if j < lam:
-                current = s
-            else:
-                break
-        return current
+        return self._space_before(bisect_left(self.jumps, lam))
+
+    def _space_before(self, k: int) -> Subspace:
+        return self.spaces[k - 1] if k else Subspace.zero(self.ambient_dim)
 
     def first_jump_containing(self, v: Vector) -> Fraction:
         for j, s in zip(self.jumps, self.spaces):
@@ -143,39 +134,23 @@ class Filtration:
         raise ValueError("vector lies outside the filtration's final space")
 
 
-def is_algebraic_basis(L: LieAlgebra, basis: WeightedBasis) -> bool:
-    """True iff iterated brackets of the elements span the whole algebra."""
-    gen = span(basis.vectors, L.dim)
-    current = gen
-    while True:
-        nxt = current + L.bracket_span(current, gen)
-        if nxt == current:
-            return current.dim == L.dim
-        current = nxt
-
-
-def build_filtration(L: LieAlgebra, basis: WeightedBasis) -> Filtration:
+def _grow_filtration(L: LieAlgebra, basis: WeightedBasis) -> Filtration:
     """Enumerate multi-commutator spans level by level in weighted length.
 
     Spans propagate through brackets by bilinearity, so per achievable
     length ``lev`` it suffices to keep S_lev = span{multi-commutators of
-    weighted length exactly lev} and extend S_{lev + w_j} by [S_lev, X_j].
+    weighted length exactly lev}, built from [S_{lev - w_j}, X_j].  Stops at
+    the whole algebra; on a non-algebraic family it runs to the level cap
+    and ends at the bracket closure, a proper subspace.
     """
-    if not is_algebraic_basis(L, basis):
-        raise ValueError("not an algebraic basis: filtration would not terminate")
     dim = L.dim
-    max_w = max(basis.weights)
-    # Safety bound: the generated span grows strictly within dim bracketing
-    # rounds, each adding at most max_w to the required length.
-    level_cap = max_w * (dim + 1)
+    # The bracket closure grows strictly within dim bracketing rounds, each
+    # adding at most max_w to the required length.
+    level_cap = max(basis.weights, default=0) * (dim + 1)
 
     exact: dict[Fraction, Subspace] = {}
-    heap: list[Fraction] = []
-    seen: set[Fraction] = set()
-    for w in basis.weights:
-        if w not in seen:
-            seen.add(w)
-            heapq.heappush(heap, w)
+    heap = sorted(set(basis.weights))
+    seen = set(heap)
 
     jumps: list[Fraction] = []
     spaces: list[Subspace] = []
@@ -183,15 +158,12 @@ def build_filtration(L: LieAlgebra, basis: WeightedBasis) -> Filtration:
 
     while heap:
         lev = heapq.heappop(heap)
-        if lev > level_cap:
-            raise AssertionError("filtration failed to terminate below the level cap")
         vecs: list[Vector] = [v for v, w in zip(basis.vectors, basis.weights)
                               if w == lev]
-        for prev_lev, prev_space in exact.items():
-            for j, wj in enumerate(basis.weights):
-                if prev_lev + wj == lev:
-                    xj = basis.vectors[j]
-                    vecs.extend(L.bracket(r, xj) for r in prev_space.rows)
+        for xj, wj in zip(basis.vectors, basis.weights):
+            prev_space = exact.get(lev - wj)
+            if prev_space is not None:
+                vecs.extend(L.bracket(r, xj) for r in prev_space.rows)
         s_lev = span(vecs, dim)
         exact[lev] = s_lev
         new_cumulative = cumulative + s_lev
@@ -208,6 +180,25 @@ def build_filtration(L: LieAlgebra, basis: WeightedBasis) -> Filtration:
                 heapq.heappush(heap, nxt)
 
     return Filtration(tuple(jumps), tuple(spaces), dim)
+
+
+def _spans_algebra(filt: Filtration) -> bool:
+    return (filt.spaces[-1].dim if filt.spaces else 0) == filt.ambient_dim
+
+
+def is_algebraic_basis(L: LieAlgebra, basis: WeightedBasis) -> bool:
+    """True iff iterated brackets of the elements span the whole algebra,
+    i.e. iff the filtration's level loop reaches the whole algebra."""
+    return _spans_algebra(_grow_filtration(L, basis))
+
+
+def build_filtration(L: LieAlgebra, basis: WeightedBasis) -> Filtration:
+    """The filtration F_lam of an algebraic basis: one run of the level
+    loop, and ``ValueError`` if it stops short of the whole algebra."""
+    filt = _grow_filtration(L, basis)
+    if not _spans_algebra(filt):
+        raise ValueError("not an algebraic basis: filtration would not terminate")
+    return filt
 
 
 def filtration_law_holds(L: LieAlgebra, filt: Filtration) -> bool:
@@ -231,7 +222,11 @@ class ReducednessReport:
 
 def is_reduced(L: LieAlgebra, basis: WeightedBasis) -> ReducednessReport:
     """A basis is reduced iff each weight layer meets F_lam^- only in 0."""
-    filt = build_filtration(L, basis)
+    return _is_reduced(L, basis, build_filtration(L, basis))
+
+
+def _is_reduced(L: LieAlgebra, basis: WeightedBasis,
+                filt: Filtration) -> ReducednessReport:
     for lam in basis.distinct_weights():
         layer = [v for v, w in zip(basis.vectors, basis.weights) if w == lam]
         inter = span(layer, L.dim).intersect(filt.below(lam))
@@ -251,8 +246,19 @@ def reduce_basis(L: LieAlgebra, basis: WeightedBasis) -> WeightedBasis:
        weight; each drop is accepted only if the remaining family still
        rebuilds the identical filtration.
     """
-    filt = build_filtration(L, basis)
+    return _reduce_basis(L, basis, build_filtration(L, basis))
+
+
+def _reduce_basis(L: LieAlgebra, basis: WeightedBasis,
+                  filt: Filtration) -> WeightedBasis:
     lowered = [filt.first_jump_containing(v) for v in basis.vectors]
+
+    def subfamily(idx: list[int]) -> WeightedBasis:
+        return WeightedBasis(
+            L,
+            [basis.indices[i] if basis.indices[i] is not None
+             else basis.vectors[i] for i in idx],
+            [lowered[i] for i in idx])
 
     order = sorted(range(len(basis)), key=lambda k: (lowered[k], k))
     kept: list[int] = []
@@ -264,25 +270,18 @@ def reduce_basis(L: LieAlgebra, basis: WeightedBasis) -> WeightedBasis:
         if not reference.contains(basis.vectors[k]):
             kept.append(k)
             continue
-        trial_idx = [i for i in range(len(basis))
-                     if i not in removed and i != k]
-        trial = WeightedBasis(
-            L,
-            [basis.indices[i] if basis.indices[i] is not None
-             else basis.vectors[i] for i in trial_idx],
-            [lowered[i] for i in trial_idx])
-        if is_algebraic_basis(L, trial) and build_filtration(L, trial) == filt:
+        # A trial that is not algebraic stops short of filt and is kept.
+        trial = subfamily([i for i in range(len(basis))
+                           if i not in removed and i != k])
+        if _grow_filtration(L, trial) == filt:
             removed.add(k)
         else:
             kept.append(k)
 
-    final_idx = [i for i in range(len(basis)) if i not in removed]
-    out = WeightedBasis(
-        L,
-        [basis.indices[i] if basis.indices[i] is not None
-         else basis.vectors[i] for i in final_idx],
-        [lowered[i] for i in final_idx])
-    report = is_reduced(L, out)
+    out = subfamily([i for i in range(len(basis)) if i not in removed])
+    if _grow_filtration(L, out) != filt:
+        raise AssertionError("reduction changed the filtration")
+    report = _is_reduced(L, out, filt)
     if not report.reduced:
         raise AssertionError(
             "reduction did not reach a reduced basis "
@@ -351,17 +350,20 @@ def check_grading(G: GradedLieAlgebra) -> GradingReport:
 def contract(L: LieAlgebra, basis: WeightedBasis) -> GradedLieAlgebra:
     """Graded contraction of (L, basis).
 
-    The basis is reduced first if necessary.  The adapted basis extends
-    F_lam^- to F_lam jump by jump, preferring the (reduced) basis's own
-    vectors of weight lam and completing with the echelon rows of F_lam in
-    row order.  Brackets of adapted vectors are re-expressed in the adapted
-    basis and truncated to the components of weight exactly w_i + w_j.
+    One filtration is built and serves the reducedness test, the reduction
+    (which is required to keep it) and the adapted basis.  The basis is
+    reduced first if necessary.  The adapted basis extends F_lam^- to F_lam
+    jump by jump, preferring the (reduced) basis's own vectors of weight lam
+    and completing with the echelon rows of F_lam in row order.  Brackets of
+    adapted vectors are re-expressed in the adapted basis and truncated to
+    the components of weight exactly w_i + w_j.
     """
-    if not is_algebraic_basis(L, basis):
-        raise ValueError("cannot contract: not an algebraic basis")
-    if not is_reduced(L, basis).reduced:
-        basis = reduce_basis(L, basis)
-    filt = build_filtration(L, basis)
+    try:
+        filt = build_filtration(L, basis)
+    except ValueError:
+        raise ValueError("cannot contract: not an algebraic basis") from None
+    if not _is_reduced(L, basis, filt).reduced:
+        basis = _reduce_basis(L, basis, filt)
     dim = L.dim
 
     adapted: list[Vector] = []
@@ -380,18 +382,14 @@ def contract(L: LieAlgebra, basis: WeightedBasis) -> GradedLieAlgebra:
 
     for jump, space in zip(filt.jumps, filt.spaces):
         start = len(adapted)
-        for v, w, idx in zip(basis.vectors, basis.weights, basis.indices):
-            if w == jump and not current.contains(v):
+        own = [(v, idx) for v, w, idx in
+               zip(basis.vectors, basis.weights, basis.indices) if w == jump]
+        for v, idx in own + [(row, None) for row in space.rows]:
+            if not current.contains(v):
                 adapted.append(v)
                 adapted_weights.append(jump)
                 adapted_labels.append(label_for(v, idx))
                 current = current + span([v], dim)
-        for row in space.rows:
-            if not current.contains(row):
-                adapted.append(row)
-                adapted_weights.append(jump)
-                adapted_labels.append(label_for(row, None))
-                current = current + span([row], dim)
         layers.append((jump, start, len(adapted)))
 
     if len(adapted) != dim:

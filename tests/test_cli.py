@@ -113,7 +113,7 @@ class TestDispatch:
         assert report.exit_code == 1
         assert report.verdicts["rockland_screen"] is False
 
-    def test_exit_code_corpus(self, tmp_path):
+    def test_exit_code_corpus(self, tmp_path, capsys):
         broken_file = tmp_path / "bad.json"
         broken_file.write_text("{broken")
         cases = [
@@ -136,6 +136,22 @@ class TestDispatch:
         assert main(["heat-trace", "su2", "--cross-check"]) == 2
         assert main(["verify-growth", "heisenberg", "--from", "10",
                      "--to", "20"]) == 2
+        capsys.readouterr()
+        not_contractible = "error: cannot contract: not an algebraic basis\n"
+        not_algebraic = ("error: the selected elements do not form an "
+                         "algebraic basis\n")
+        for argv, stderr in [
+            (["contract", "sl2r", "--weights", "1,1", "--indices", "1,3"],
+             not_contractible),
+            (["dimension", "heisenberg2", "--weights", "1,1,1",
+              "--indices", "1,2,3"], not_contractible),
+            (["filtration", "sl2r", "--weights", "1,1", "--indices", "1,3"],
+             not_algebraic),
+            (["reduce", "sl2r", "--weights", "1,1", "--indices", "1,3"],
+             not_algebraic),
+        ]:
+            assert main(argv) == 2, argv
+            assert capsys.readouterr() == ("", stderr), argv
 
     def test_dimension_heisenberg2(self):
         report = run(["dimension", "heisenberg2"])

@@ -1,8 +1,10 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import liespec.weighted as weighted
 from liespec.catalog import heisenberg, resolve, su2
 from liespec.lie_core import LieAlgebra, basis_vector, span, vec_add, vec_scale
 from liespec.weighted import (
@@ -32,6 +34,17 @@ WEIGHT_CHOICES = [
     [Fraction(2), Fraction(1), Fraction(3)],
     [Fraction(1), Fraction(1), Fraction(2), Fraction(5, 2)],
 ]
+
+
+def _closure_is_algebraic(L, basis):
+    """Oracle: close the span of the elements under bracketing with them."""
+    gen = span(basis.vectors, L.dim)
+    current = gen
+    while True:
+        nxt = current + L.bracket_span(current, gen)
+        if nxt == current:
+            return current.dim == L.dim
+        current = nxt
 
 
 def full_basis(entry, weights_seed):
@@ -94,6 +107,33 @@ class TestAlgebraicBasis:
     def test_su2_two_generators(self):
         L = su2().algebra
         assert is_algebraic_basis(L, WeightedBasis(L, [0, 1], [1, 1]))
+
+    def test_level_loop_agrees_with_closure_oracle(self):
+        rng = random.Random(3)
+        choices = WEIGHT_CHOICES + [[Fraction(1), Fraction(7, 5)]]
+        # sl2r {E, H} spans a proper subalgebra that is not nilpotent
+        # ([H, E] = 2E), so the level loop only stops at its level cap
+        cases = [("sl2r", [0, 2], [1, 1]), ("sl2r", [0, 2], [1, Fraction(7, 5)])]
+        for name in CATALOG_NAMES + ["heisenberg3"]:
+            dim = resolve(name).algebra.dim
+            for size in range(1, dim + 1):
+                for choice in choices:
+                    idx = rng.sample(range(dim), size)
+                    cases.append((name, idx, [rng.choice(choice) for _ in idx]))
+        verdicts = set()
+        for name, idx, ws in cases:
+            L = resolve(name).algebra
+            basis = WeightedBasis(L, idx, ws)
+            expected = _closure_is_algebraic(L, basis)
+            verdicts.add(expected)
+            case = (name, idx, ws)
+            assert is_algebraic_basis(L, basis) == expected, case
+            if expected:
+                assert build_filtration(L, basis).spaces[-1].dim == L.dim, case
+            else:
+                with pytest.raises(ValueError):
+                    build_filtration(L, basis)
+        assert verdicts == {True, False}
 
 
 class TestFiltration:
@@ -247,6 +287,24 @@ class TestContract:
                      WeightedBasis(entry.algebra, [0, 1], [1, 1]))
         assert G.base.structure_table() == entry.algebra.structure_table()
         assert G.homogeneous_dimension == 7
+
+
+class TestFiltrationBuiltOnce:
+    def test_contract_builds_one_filtration(self, monkeypatch):
+        calls = Counter()
+        for fn in ("build_filtration", "is_algebraic_basis"):
+            def counting(*args, _fn=fn, _original=getattr(weighted, fn)):
+                calls[_fn] += 1
+                return _original(*args)
+            monkeypatch.setattr(weighted, fn, counting)
+        for name in CATALOG_NAMES + ["heisenberg3"]:
+            entry = resolve(name)
+            basis = WeightedBasis(entry.algebra, list(entry.generators),
+                                  list(entry.generator_weights))
+            calls.clear()
+            contract(entry.algebra, basis)
+            assert (calls["build_filtration"],
+                    calls["is_algebraic_basis"]) == (1, 0), name
 
 
 class TestHomogeneousDimension:
