@@ -70,13 +70,13 @@ from .spectral import (
 )
 from .weighted import (
     WeightedBasis,
+    _is_reduced,
+    _reduce_basis,
     build_filtration,
     check_grading,
     contract,
     filtration_law_holds,
-    is_reduced,
     isomorphic_to_heisenberg1,
-    reduce_basis,
 )
 
 REPORT_SCHEMA = "liespec-report/1"
@@ -393,7 +393,7 @@ def _cmd_reduce(args, seed) -> CommandReport:
     spec = parse_algebra_spec(args.algebra)
     basis = _basis_from_args(spec, args)
     before = _filtration_or_error(spec, basis)
-    reduced = reduce_basis(spec.algebra, basis)
+    reduced = _reduce_basis(spec.algebra, basis, before)
     after = build_filtration(spec.algebra, reduced)
     report = CommandReport(command=_echo(args), seed=seed)
     rows = []
@@ -404,7 +404,8 @@ def _cmd_reduce(args, seed) -> CommandReport:
     report.tables.append(Table("reduced_basis", ["element", "weight"], rows))
     report.notes["input_size"] = len(basis)
     report.notes["output_size"] = len(reduced)
-    report.verdicts["reduced"] = is_reduced(spec.algebra, reduced).reduced
+    report.verdicts["reduced"] = _is_reduced(spec.algebra, reduced,
+                                             after).reduced
     report.verdicts["filtration_preserved"] = before == after
     return report
 

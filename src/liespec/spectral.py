@@ -9,7 +9,12 @@ Three backends, one ``SpectralBackend`` subclass each, are provided:
   ``cross_check(t)`` is the heat kernel at 2t, a second heat-trace route;
 * ``su2``: probability Haar, the invariant sub-Laplacian built from two of
   the three rotation generators, spectrum l(l+1) - k^2 with multiplicity
-  2l+1 per weight vector, integer l.
+  2l+1 per weight vector, integer l.  On a diagonal a = l - |k| >= 0, with
+  c = 2a+1, eigenvalue a(a+1) + |k|c and multiplicity c + 2|k| are arithmetic
+  in |k|: below an integer top it holds c(2K+1) + 2K(K+1) states, K =
+  (top - a(a+1)) // c, and its heat sum is exp(-2t a(a+1)) (c(1+q)/(1-q) +
+  4q/(1-q)^2), q = exp(-2tc).  So counting is exact for every s in O(sqrt s)
+  time and O(1) memory, and the heat trace takes O(t^-1/2) terms.
 
 Counting always refers to the open spectral interval (0, s): zero modes are
 excluded, values at eigenvalue crossings follow the strict inequality.
@@ -109,33 +114,35 @@ class _Heisenberg(SpectralBackend):
 
 
 class _Su2(SpectralBackend):
+    # Sums along diagonals a = l - |k| (module docstring), c = 2a+1: count
+    # exact in Python ints, O(sqrt s) time, O(1) memory; heat trace O(t^-1/2).
     def count(self, s: float) -> int:
-        # integer eigenvalues below s are <= top; level l starts at l.
-        # int64 holds l(l+1) and the total (~2.47 s^2) while s < 1.9e9
-        top = math.ceil(s) - 1
-        levels = np.arange(1, top + 1, dtype=np.int64)
-        return int(_su2_level_counts(levels, top).sum())
+        top = math.ceil(s) - 1          # integer eigenvalues below s
+        total = -1                      # the zero mode (a, k) = (0, 0)
+        for c in range(1, math.isqrt(4 * top + 1) + 1, 2):  # a(a+1) <= top
+            K = (top - c * c // 4) // c         # c*c // 4 = a(a+1)
+            total += c * (2 * K + 1) + 2 * K * (K + 1)
+        return total
 
     def heat_trace(self, t: float) -> float:
-        total = 0.0
-        l = 1
+        A = int(math.sqrt(40.0 / t)) + 1
         while True:
-            k = np.arange(-l, l + 1, dtype=float)
-            evs = l * (l + 1) - k * k
-            term = (2 * l + 1) * float(np.exp(-2.0 * t * evs).sum())
-            total += term
-            # Eigenvalues at level j are >= j, so the remainder is below
-            # sum_{j>l} (2j+1)^2 exp(-2tj); sum the quadratic-in-j geometric
-            # moments exactly.
-            r = math.exp(-2.0 * t)
-            A = 2 * (l + 1) + 1
-            tail = math.exp(-2.0 * t * (l + 1)) * (
-                A * A / (1 - r)
-                + 4.0 * A * r / (1 - r) ** 2
-                + 4.0 * r * (1 + r) / (1 - r) ** 3)
+            c = 2.0 * np.arange(A + 2) + 1.0            # diagonals 0..A+1
+            r = np.exp(-2.0 * t * c) / -np.expm1(-2.0 * t * c)     # q/(1-q)
+            # c(1+q)/(1-q) + 4q/(1-q)^2 = c + 2r(c + 2 + 2r); a = 0 leaves out
+            # its leading c, the zero mode, as subtracting it cancels digits
+            diag = 2.0 * r * (c + 2.0 + 2.0 * r)
+            diag[1:] += c[1:]
+            w = np.exp(-0.5 * t * (c[1:] ** 2 - 1))  # exp(-2t a(a+1)), a >= 1
+            total = float(diag[0] + (w[:-1] * diag[1:-1]).sum())
+            # Past A, weights fall by rho <= exp(-4t(A+2)) per diagonal and
+            # diag/c falls: the tail is below sum_i rho^i (c + 2i) diag/c
+            one_rho = -math.expm1(-4.0 * t * (A + 2))
+            tail = w[-1] * diag[-1] / one_rho * (
+                1.0 + 2.0 * (1.0 - one_rho) / (c[-1] * one_rho))
             if tail < 1e-15 * max(total, 1e-300):
                 return total
-            l += 1
+            A *= 2
 
 
 def _contracted_qstar(catalog_name: str) -> Fraction:
@@ -199,13 +206,6 @@ def _ball_count(n: int, R: int) -> int:
     else:
         lines = np.array([_ball_count(n - 1, r) for r in rem.tolist()])
     return 2 * int(lines.sum()) - int(lines[0])     # k and -k, once for 0
-
-
-def _su2_level_counts(l: np.ndarray, top: int) -> np.ndarray:
-    """Per int64 level l: (2l+1) #{|k| <= l : l(l+1) - k^2 <= top}."""
-    g = l * (l + 1) - top           # level l keeps the k with k^2 >= g
-    dropped = np.where(g > 0, 2 * _isqrt(np.maximum(g - 1, 0)) + 1, 0)
-    return (2 * l + 1) * (2 * l + 1 - dropped)
 
 
 def h1_counting_constant() -> float:

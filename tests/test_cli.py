@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from liespec import weighted
 from liespec.catalog import catalog_names, resolve
 from liespec.cli import (
     CLIError,
@@ -152,6 +153,27 @@ class TestDispatch:
         ]:
             assert main(argv) == 2, argv
             assert capsys.readouterr() == ("", stderr), argv
+
+    def test_reduce_builds_three_filtrations(self, monkeypatch):
+        # input, reduce_basis's closing check, output: the report's verdicts
+        # reuse the input's and the output's filtrations
+        runs = []
+        original = weighted._grow_filtration
+
+        def counting(*args):
+            runs.append(args)
+            return original(*args)
+        monkeypatch.setattr(weighted, "_grow_filtration", counting)
+        for name, weights, indices in [
+                ("heisenberg3", "1,1,1,1,1,1,3", "1,2,3,4,5,6,7"),
+                ("heisenberg1", "1,1,3", "1,2,3"),
+                ("engel4", "1,1,3,3", "1,2,3,4")]:
+            runs.clear()
+            report = run(["reduce", name, "--weights", weights,
+                          "--indices", indices])
+            assert report.verdicts == {"reduced": True,
+                                       "filtration_preserved": True}, name
+            assert len(runs) == 3, name
 
     def test_dimension_heisenberg2(self):
         report = run(["dimension", "heisenberg2"])

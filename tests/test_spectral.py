@@ -1,8 +1,11 @@
+import bisect
+import itertools
 import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from liespec.spectral import (
     MultiplierSpec,
@@ -18,12 +21,35 @@ from liespec.spectral import (
     torus_embedding_witness,
     verify_growth,
 )
-from liespec.spectral import _su2_level_counts
 
 TORUS1 = make_backend("torus1")
 TORUS2 = make_backend("torus2")
 HEIS = make_backend("heisenberg")
 SU2 = make_backend("su2")
+
+SU2_ORACLE_TOP = 3000
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
+
+
+@pytest.fixture(scope="module")
+def su2_spectrum():
+    """Brute-force su2 eigenvalues 0 < lam <= 3000 with multiplicities; level
+    l only holds eigenvalues >= l, so levels up to 3000 give all of them."""
+    return [(ev, m) for ev, m in su2_sublaplacian_spectrum(SU2_ORACLE_TOP)
+            if 0 < ev <= SU2_ORACLE_TOP]
+
+
+def su2_multiplicity(lam):
+    """Multiplicity of lam from the factor pairs d <= e of
+    4 lam + 1 = (2l+1-2|k|)(2l+1+2|k|): each gives 2l+1 = (d+e)/2, twice
+    when k != 0."""
+    n = 4 * lam + 1
+    mult = 0
+    for d in range(1, math.isqrt(n) + 1, 2):
+        if n % d == 0:
+            e = n // d
+            mult += (d + e) // 2 * (1 if d == e else 2)
+    return mult
 
 
 def su2_irrep_generators(l):
@@ -90,16 +116,32 @@ class TestCountingFunction:
             assert counting_function(SU2, s) == brute, s
 
     def test_su2_levels_exact_beyond_float_precision(self):
-        # l(l+1) > 2^53 here; a float threshold test dropped level 99,999,999
-        s = 99_999_999.5
-        levels = np.arange(99_999_990, 100_000_000, dtype=np.int64)
-        got = _su2_level_counts(levels, math.ceil(s) - 1).tolist()
-        for l, value in zip(levels.tolist(), got):
-            kept, k = 0, l        # eigenvalues l(l+1) - k^2 grow as |k| falls
-            while k >= 0 and l * (l + 1) - k * k < s:
-                kept += 1 if k == 0 else 2
-                k -= 1
-            assert kept > 0 and value == (2 * l + 1) * kept, l
+        # l(l+1) > 2^53 near 1e8; a float threshold test dropped level
+        # 99,999,999 at s = 99,999,999.5
+        spectrum = dict(su2_sublaplacian_spectrum(80))
+        assert all(su2_multiplicity(lam) == spectrum.get(lam, 0)
+                   for lam in range(80))
+        assert su2_multiplicity(99_999_999) == 407_286_432
+        for lam in (99_999_999, 12_345):
+            jump = SU2.count(lam + 0.5) - SU2.count(lam - 0.5)
+            assert jump == su2_multiplicity(lam), lam
+
+    def test_su2_exact_at_1e10(self):
+        # about 2.5e20 states, beyond int64; the Weyl law N(s) ~ (pi^2/4) s^2
+        n = SU2.count(1e10)
+        assert isinstance(n, int)
+        assert abs(n / 1e20 - math.pi ** 2 / 4) < 1e-9
+
+    @PROPERTY
+    @given(st.one_of(
+        st.floats(0.0, SU2_ORACLE_TOP, exclude_min=True),
+        st.integers(1, SU2_ORACLE_TOP).flatmap(
+            lambda n: st.sampled_from([n, n - 1e-9, n + 1e-9]))))
+    def test_su2_against_spectrum_oracle(self, su2_spectrum, s):
+        evs = [ev for ev, _ in su2_spectrum]
+        below = list(itertools.accumulate(m for _, m in su2_spectrum))
+        i = bisect.bisect_left(evs, s)          # evs[:i] are < s
+        assert SU2.count(s) == (below[i - 1] if i else 0)
 
     def test_heisenberg_exact_homogeneity(self):
         rng = random.Random(3)
@@ -225,6 +267,28 @@ class TestHeatTrace:
             trace = heat_trace_l2(HEIS, t)
             kernel = h1_heat_kernel(2 * t)
             assert abs(trace - kernel) / trace < 1e-4
+
+    @PROPERTY
+    @given(st.floats(0.02, 50.0))
+    @example(10.0)      # a zero mode subtracted late would cost ~8 digits
+    def test_su2_against_spectrum_oracle(self, su2_spectrum, t):
+        # eigenvalues above 3000 weigh below exp(-120) of the total
+        oracle = math.fsum(m * math.exp(-2.0 * t * ev)
+                           for ev, m in su2_spectrum)
+        assert abs(heat_trace_l2(SU2, t) - oracle) <= 1e-13 * oracle
+
+    def test_su2_far_tail(self):
+        # only the first diagonal survives; exp(-2000) underflows to 0, and
+        # the tail certificate must still stop there and at t = inf
+        assert heat_trace_l2(SU2, 200.0) == 1.1491017580284035e-173
+        assert heat_trace_l2(SU2, 1e3) == 0.0
+        assert heat_trace_l2(SU2, math.inf) == 0.0
+
+    def test_su2_small_time_weyl_law(self):
+        # trace ~ (pi^2/8) t^-2, from N(s) ~ (pi^2/4) s^2
+        t = 1e-6
+        assert abs(t * t * heat_trace_l2(SU2, t) / (math.pi ** 2 / 8)
+                   - 1.0) < 1e-5
 
     def test_decreasing_in_t(self):
         for backend in (TORUS1, TORUS2, HEIS, SU2):
