@@ -11,6 +11,20 @@ Conventions
 * Structure constants are stored sparsely for i < j only; antisymmetry is
   applied on access, so ``[e_i, e_i] = 0`` and ``[e_j, e_i] = -[e_i, e_j]``
   hold by construction.
+* Beside that table each algebra keeps a private sparse view for both
+  orders, sign applied: ``_sparse[i]`` lists the triples (j, k, c) with
+  ``c = [e_i, e_j]_k != 0``.  ``bracket`` walks the view rows of the
+  nonzero coordinates of x, so its cost scales with the number of nonzero
+  constants met, not with d^2.  One flat tuple of triples per row keeps the
+  view small; contractions that callers hold on to carry it.
+* ``check_jacobi`` follows chains of nonzero brackets: (p, q) in the table,
+  m in the support of [e_p, e_q], r with [e_r, e_m] != 0.  Each chain adds
+  one term to the Jacobiator of the triple {p, q, r}; a triple that no
+  chain reaches has Jacobiator 0.
+* ``_rref`` eliminates only the columns where the pivot row is nonzero,
+  skips the scaling of pivots that are already 1, and copies a tuple row
+  only when it changes, so spans share the rows they keep.  Fractions and
+  tuples of Fractions enter vectors as they are, not as copies.
 """
 
 from __future__ import annotations
@@ -31,8 +45,12 @@ def as_fraction(x) -> Fraction:
     """Convert an int / Fraction / 'p/q' string to Fraction, rejecting floats.
 
     Irrational or floating-point structure constants are unsupported by
-    design: exactness is what makes subspace equality decidable.
+    design: exactness is what makes subspace equality decidable.  A
+    Fraction is immutable and comes back as the same object, so vectors
+    built from Fractions share them instead of holding copies.
     """
+    if type(x) is Fraction:
+        return x
     if isinstance(x, bool):
         raise ExactnessError("booleans are not scalars")
     if isinstance(x, (int, Fraction)):
@@ -47,7 +65,11 @@ def as_fraction(x) -> Fraction:
 
 
 def as_vector(coords: Iterable, dim: int | None = None) -> Vector:
-    v = tuple(as_fraction(c) for c in coords)
+    """Exact vector from rationals; a tuple of Fractions is kept as is."""
+    if type(coords) is tuple and all(type(c) is Fraction for c in coords):
+        v = coords
+    else:
+        v = tuple(as_fraction(c) for c in coords)
     if dim is not None and len(v) != dim:
         raise ValueError(f"expected vector of length {dim}, got {len(v)}")
     return v
@@ -78,31 +100,52 @@ def is_zero(x: Vector) -> bool:
 # Subspaces as canonical reduced row-echelon matrices
 # ---------------------------------------------------------------------------
 
-def _rref(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    """In-place fraction RREF; returns the nonzero rows (monic pivots)."""
+def _rref(rows: list[list[Fraction] | Vector]
+          ) -> list[list[Fraction] | Vector]:
+    """In-place fraction RREF; returns the nonzero rows (monic pivots).
+
+    Rows are lists or tuples.  A row the elimination leaves unchanged comes
+    back as the object given; a tuple row that changes is replaced by a
+    list.  Every returned entry is a Fraction, also where an input held an
+    int.
+    """
     if not rows:
         return []
+    n_rows = len(rows)
     n_cols = len(rows[0])
     piv_r = 0
     for col in range(n_cols):
-        pivot = None
-        for r in range(piv_r, len(rows)):
-            if rows[r][col] != 0:
-                pivot = r
-                break
+        pivot = next((r for r in range(piv_r, n_rows) if rows[r][col]), None)
         if pivot is None:
             continue
         rows[piv_r], rows[pivot] = rows[pivot], rows[piv_r]
-        inv = 1 / rows[piv_r][col]
-        rows[piv_r] = [inv * a for a in rows[piv_r]]
-        for r in range(len(rows)):
-            if r != piv_r and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[piv_r])]
+        prow = rows[piv_r]
+        # Rows from piv_r on are zero left of col, so only the pivot row's
+        # nonzero columns from col on take part.
+        support = [c for c in range(col, n_cols) if prow[c]]
+        p = prow[col]
+        if p != 1:
+            inv = 1 / Fraction(p)
+            if type(prow) is tuple:
+                prow = rows[piv_r] = list(prow)
+            for c in support:
+                prow[c] = inv * prow[c]
+        for r in range(n_rows):
+            row = rows[r]
+            f = row[col]
+            if f and r != piv_r:
+                if type(row) is tuple:
+                    row = rows[r] = list(row)
+                for c in support:
+                    row[c] = row[c] - f * prow[c]
         piv_r += 1
-        if piv_r == len(rows):
+        if piv_r == n_rows:
             break
-    return [row for row in rows[:piv_r]]
+    out = rows[:piv_r]
+    for i, row in enumerate(out):
+        if not all(type(a) is Fraction for a in row):
+            out[i] = [a if type(a) is Fraction else Fraction(a) for a in row]
+    return out
 
 
 @dataclass(frozen=True)
@@ -176,7 +219,8 @@ def span(vectors: Sequence[Vector], ambient_dim: int | None = None) -> Subspace:
     for v in vectors:
         if len(v) != ambient_dim:
             raise ValueError("mixed vector dimensions in span")
-    rows = _rref([list(v) for v in vectors])
+    # Tuples are immutable, so _rref may keep the rows it does not change.
+    rows = _rref([v if type(v) is tuple else list(v) for v in vectors])
     return Subspace(tuple(tuple(r) for r in rows), ambient_dim)
 
 
@@ -249,6 +293,14 @@ class LieAlgebra:
             if not is_zero(v):
                 table[(int(i), int(j))] = v
         self._table = table
+        rows: list[list[tuple[int, int, Fraction]]] = [
+            [] for _ in range(self.dim)]
+        for (i, j), v in table.items():
+            for k, c in enumerate(v):
+                if c:
+                    rows[i].append((j, k, c))
+                    rows[j].append((i, k, -c))
+        self._sparse = tuple(tuple(row) for row in rows)
 
     # -- basic access -------------------------------------------------------
 
@@ -286,16 +338,11 @@ class LieAlgebra:
             raise ValueError("vector length does not match algebra dimension")
         out = [Fraction(0)] * self.dim
         for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            for j, yj in enumerate(y):
-                if yj == 0 or i == j:
-                    continue
-                b = self.bracket_basis(i, j)
-                c = xi * yj
-                for k, bk in enumerate(b):
-                    if bk != 0:
-                        out[k] += c * bk
+            if xi:
+                for j, k, c in self._sparse[i]:
+                    yj = y[j]
+                    if yj:
+                        out[k] += xi * yj * c
         return tuple(out)
 
     def multi_commutator(self, elements: Sequence[Vector],
@@ -313,17 +360,39 @@ class LieAlgebra:
         return acc
 
     def check_jacobi(self) -> JacobiReport:
-        """Exact Jacobi test over all basis triples i < j < k."""
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                for k in range(j + 1, self.dim):
-                    ei, ej, ek = (basis_vector(t, self.dim) for t in (i, j, k))
-                    s = vec_add(
-                        vec_add(self.bracket(ei, self.bracket(ej, ek)),
-                                self.bracket(ej, self.bracket(ek, ei))),
-                        self.bracket(ek, self.bracket(ei, ej)))
-                    if not is_zero(s):
-                        return JacobiReport(False, (i, j, k), s)
+        """Exact Jacobi test over all basis triples i < j < k.
+
+        J(i, j, k) = [e_i, [e_j, e_k]] + [e_j, [e_k, e_i]] + [e_k, [e_i, e_j]]
+        is summed along chains of nonzero constants only.  A chain (p, q) in
+        the table, m with c_m = [e_p, e_q]_m != 0 and r with [e_r, e_m] != 0
+        (r other than p, q) adds c_m [e_r, e_m] to J of the sorted triple
+        {p, q, r}, with the cyclic sign: the inner bracket of that term is
+        [e_q, e_p] = -[e_p, e_q] when p < r < q, else [e_p, e_q].  Unreached
+        triples have J = 0, so the smallest failing triple and its residual
+        are those of the loop over all triples.
+        """
+        sparse = self._sparse
+        jacobiator: dict[tuple[int, int, int], dict[int, Fraction]] = {}
+        for p, row in enumerate(sparse):
+            for q, m, cm in row:
+                if q < p:
+                    continue
+                for r, k, c in sparse[m]:
+                    if r == p or r == q:
+                        continue
+                    # c_m [e_r, e_m] = -c_m [e_m, e_r], signed as above.
+                    f = cm if p < r < q else -cm
+                    triple = ((r, p, q) if r < p else
+                              (p, r, q) if r < q else (p, q, r))
+                    acc = jacobiator.setdefault(triple, {})
+                    acc[k] = acc.get(k, 0) + f * c
+        for triple in sorted(jacobiator):
+            acc = jacobiator[triple]
+            if any(acc.values()):
+                residual = [Fraction(0)] * self.dim
+                for k, c in acc.items():
+                    residual[k] = c
+                return JacobiReport(False, triple, tuple(residual))
         return JacobiReport(True)
 
     def bracket_span(self, a: Subspace, b: Subspace) -> Subspace:

@@ -216,7 +216,10 @@ def h1_counting_constant() -> float:
 
 def counting_function(backend: SpectralBackend, s: float) -> float:
     """Spectral counting over the open interval (0, s); zero modes excluded.
-    A float for reports: exact below 2^53 (su2 passes it near s = 9.5e7)."""
+    A float for reports: exact below 2^53 (su2 passes it near s = 9.5e7).
+    NaN and s = inf have no finite count and are rejected by value."""
+    if s != s or s == math.inf:
+        raise ValueError(f"s must be finite, got {s}")
     if s <= 0:
         raise ValueError("s must be positive")
     return float(backend.count(s))
@@ -224,7 +227,10 @@ def counting_function(backend: SpectralBackend, s: float) -> float:
 
 def heat_trace_l2(backend: SpectralBackend, t: float) -> float:
     """L2 norm squared of the heat kernel, integrated against the counting
-    measure over (0, inf); zero modes never contribute."""
+    measure over (0, inf); zero modes never contribute.  t = inf gives 0.0;
+    NaN is rejected by value."""
+    if t != t:
+        raise ValueError(f"t must be a number, got {t}")
     if t <= 0:
         raise ValueError("t must be positive")
     return backend.heat_trace(t)
@@ -355,9 +361,14 @@ def verify_growth(backend: SpectralBackend,
     """Fit the counting function's growth exponent against Q*/m.
 
     The target comes from the contraction machinery via the backend; it is
-    never hand-entered here.
+    never hand-entered here.  A NaN or infinite ``s_min``/``s_max`` is
+    rejected by name and value; explicit grid points meet the same check in
+    ``counting_function``.
     """
     if s_grid is None:
+        for name, s in (("s_min", s_min), ("s_max", s_max)):
+            if not math.isfinite(s):
+                raise ValueError(f"{name} must be finite, got {s}")
         decades = math.log10(s_max) - math.log10(s_min)
         npts = max(int(round(decades * points_per_decade)) + 1, 5)
         s_grid = list(np.logspace(math.log10(s_min), math.log10(s_max), npts))

@@ -154,6 +154,21 @@ class TestDispatch:
             assert main(argv) == 2, argv
             assert capsys.readouterr() == ("", stderr), argv
 
+    def test_nan_and_infinite_inputs_named(self, capsys):
+        capsys.readouterr()
+        for argv, stderr in [
+            (["heat-trace", "su2", "--times", "nan,1"],
+             "error: t must be a number, got nan\n"),
+            (["verify-growth", "su2", "--from", "nan"],
+             "error: s_min must be finite, got nan\n"),
+            (["verify-growth", "su2", "--to", "nan"],
+             "error: s_max must be finite, got nan\n"),
+            (["verify-growth", "su2", "--to", "inf"],
+             "error: s_max must be finite, got inf\n"),
+        ]:
+            assert main(argv) == 2, argv
+            assert capsys.readouterr() == ("", stderr), argv
+
     def test_reduce_builds_three_filtrations(self, monkeypatch):
         # input, reduce_basis's closing check, output: the report's verdicts
         # reuse the input's and the output's filtrations

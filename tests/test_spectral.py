@@ -31,12 +31,32 @@ SU2_ORACLE_TOP = 3000
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
 
 
+def su2_spectrum_up_to(top):
+    """Brute-force su2 eigenvalues 0 < lam <= top with multiplicities.
+
+    Enumerates the (l, k) pairs with lam = l(l+1) - k^2 <= top.  Level l
+    only holds eigenvalues >= l, so levels up to top give all of them; on
+    level l, |k| starts at the ceiling of sqrt(l(l+1) - top).
+    """
+    agg = {}
+    for l in range(top + 1):
+        excess = l * (l + 1) - top
+        k_min = math.isqrt(excess - 1) + 1 if excess > 0 else 0
+        for k in range(k_min, l + 1):
+            ev = l * (l + 1) - k * k
+            if ev > 0:
+                agg[ev] = agg.get(ev, 0) + (2 * l + 1) * (2 if k else 1)
+    return sorted(agg.items())
+
+
 @pytest.fixture(scope="module")
 def su2_spectrum():
-    """Brute-force su2 eigenvalues 0 < lam <= 3000 with multiplicities; level
-    l only holds eigenvalues >= l, so levels up to 3000 give all of them."""
-    return [(ev, m) for ev, m in su2_sublaplacian_spectrum(SU2_ORACLE_TOP)
-            if 0 < ev <= SU2_ORACLE_TOP]
+    """su2 eigenvalues 0 < lam <= 3000 with multiplicities, checked against
+    the library's full level enumeration where that is cheap."""
+    spectrum = su2_spectrum_up_to(SU2_ORACLE_TOP)
+    assert [(ev, m) for ev, m in spectrum if ev <= 200] == [
+        (ev, m) for ev, m in su2_sublaplacian_spectrum(200) if 0 < ev <= 200]
+    return spectrum
 
 
 def su2_multiplicity(lam):
@@ -176,6 +196,21 @@ class TestCountingFunction:
         with pytest.raises(ValueError):
             counting_function(SU2, 0.0)
 
+    def test_nan_and_infinite_s_named(self):
+        for backend in (SU2, TORUS2, HEIS):
+            with pytest.raises(ValueError, match="^s must be finite, got nan$"):
+                counting_function(backend, math.nan)
+            with pytest.raises(ValueError, match="^s must be finite, got inf$"):
+                counting_function(backend, math.inf)
+            with pytest.raises(ValueError, match="^s must be positive$"):
+                counting_function(backend, -math.inf)
+        with pytest.raises(ValueError, match="^s_min must be finite, got nan$"):
+            verify_growth(SU2, s_min=math.nan)
+        with pytest.raises(ValueError, match="^s_max must be finite, got inf$"):
+            verify_growth(SU2, s_max=math.inf)
+        with pytest.raises(ValueError, match="^s must be finite, got nan$"):
+            verify_growth(SU2, s_grid=[1e1, 1e2, math.nan, 1e3, 1e4])
+
 
 class TestSu2Spectrum:
     def test_level_one_table(self):
@@ -283,6 +318,13 @@ class TestHeatTrace:
         assert heat_trace_l2(SU2, 200.0) == 1.1491017580284035e-173
         assert heat_trace_l2(SU2, 1e3) == 0.0
         assert heat_trace_l2(SU2, math.inf) == 0.0
+
+    def test_nan_time_named(self):
+        for backend in (SU2, TORUS2, HEIS):
+            with pytest.raises(ValueError, match="^t must be a number, got nan$"):
+                heat_trace_l2(backend, math.nan)
+            with pytest.raises(ValueError, match="^t must be positive$"):
+                heat_trace_l2(backend, 0.0)
 
     def test_su2_small_time_weyl_law(self):
         # trace ~ (pi^2/8) t^-2, from N(s) ~ (pi^2/4) s^2
