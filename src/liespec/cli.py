@@ -59,6 +59,7 @@ from .forms import (
 from .lie_core import LieAlgebra
 from .spectral import (
     MultiplierSpec,
+    _lp_lq_exponent,
     fit_power_exponent,
     h1_heat_kernel,
     heat_lp_lq_bound,
@@ -228,15 +229,24 @@ def algebra_spec_to_dict(spec: AlgebraSpec) -> dict:
     }
 
 
+def _comma_list(flag: str, text: str, convert=None) -> list:
+    """Split a comma list and convert each entry (exact rationals by
+    default); a bad entry names its flag."""
+    try:
+        return [_rational(tok, flag) if convert is None else convert(tok)
+                for tok in text.split(",")]
+    except ValueError as exc:
+        raise CLIError(f"{flag}: {exc}")
+
+
 def _basis_from_args(spec: AlgebraSpec, args) -> WeightedBasis:
     """--weights/--indices override the named basis; weights alone apply to
     the first k basis vectors."""
-    if getattr(args, "weights", None):
-        weights = [_rational(w, "--weights") for w in args.weights.split(",")]
-        if getattr(args, "indices", None):
+    if args.weights:
+        weights = _comma_list("--weights", args.weights)
+        if args.indices:
             idx = []
-            for tok in args.indices.split(","):
-                i = int(tok)
+            for i in _comma_list("--indices", args.indices, int):
                 if not (1 <= i <= spec.algebra.dim):
                     raise CLIError(f"--indices: {i} out of range")
                 idx.append(i - 1)
@@ -248,7 +258,7 @@ def _basis_from_args(spec: AlgebraSpec, args) -> WeightedBasis:
             return WeightedBasis(spec.algebra, idx, weights)
         except ValueError as exc:
             raise CLIError(str(exc))
-    return spec.weighted_basis(getattr(args, "basis", "canonical") or "canonical")
+    return spec.weighted_basis(args.basis or "canonical")
 
 
 # ---------------------------------------------------------------------------
@@ -328,9 +338,8 @@ def _fmt_vector(v) -> str:
 # Subcommand handlers
 # ---------------------------------------------------------------------------
 
-def _cmd_algebra(args, seed) -> CommandReport:
+def _cmd_algebra(args, report) -> None:
     spec = parse_algebra_spec(args.algebra)
-    report = CommandReport(command=_echo(args), seed=seed)
     payload = algebra_spec_to_dict(spec)
     report.document = payload
     table = Table("brackets", ["i", "j", "c"],
@@ -338,15 +347,13 @@ def _cmd_algebra(args, seed) -> CommandReport:
                    for b in payload["brackets"]])
     report.tables.append(table)
     report.verdicts["jacobi"] = True
-    return report
 
 
-def _cmd_contract(args, seed) -> CommandReport:
+def _cmd_contract(args, report) -> None:
     spec = parse_algebra_spec(args.algebra)
     basis = _basis_from_args(spec, args)
     graded = contract(spec.algebra, basis)
     grading = check_grading(graded)
-    report = CommandReport(command=_echo(args), seed=seed)
     report.notes["algebra"] = spec.name
     report.notes["Q_star"] = str(graded.homogeneous_dimension)
     report.notes["adapted_labels"] = list(graded.base.basis_labels)
@@ -366,7 +373,6 @@ def _cmd_contract(args, seed) -> CommandReport:
           _fmt_vector(row)]
          for k, row in enumerate(graded.adapted_rows)]))
     report.verdicts["grading"] = grading.ok
-    return report
 
 
 def _filtration_or_error(spec: AlgebraSpec, basis: WeightedBasis):
@@ -376,26 +382,23 @@ def _filtration_or_error(spec: AlgebraSpec, basis: WeightedBasis):
         raise CLIError("the selected elements do not form an algebraic basis")
 
 
-def _cmd_filtration(args, seed) -> CommandReport:
+def _cmd_filtration(args, report) -> None:
     spec = parse_algebra_spec(args.algebra)
     filt = _filtration_or_error(spec, _basis_from_args(spec, args))
-    report = CommandReport(command=_echo(args), seed=seed)
     rows = []
     for jump, space in zip(filt.jumps, filt.spaces):
         rows.append([str(jump), space.dim,
                      "; ".join(_fmt_vector(r) for r in space.rows)])
     report.tables.append(Table("filtration", ["jump", "dim", "basis_rows"], rows))
     report.verdicts["filtration_law"] = filtration_law_holds(spec.algebra, filt)
-    return report
 
 
-def _cmd_reduce(args, seed) -> CommandReport:
+def _cmd_reduce(args, report) -> None:
     spec = parse_algebra_spec(args.algebra)
     basis = _basis_from_args(spec, args)
     before = _filtration_or_error(spec, basis)
     reduced = _reduce_basis(spec.algebra, basis, before)
     after = build_filtration(spec.algebra, reduced)
-    report = CommandReport(command=_echo(args), seed=seed)
     rows = []
     for v, w, idx in zip(reduced.vectors, reduced.weights, reduced.indices):
         label = (spec.algebra.basis_labels[idx] if idx is not None
@@ -407,20 +410,17 @@ def _cmd_reduce(args, seed) -> CommandReport:
     report.verdicts["reduced"] = _is_reduced(spec.algebra, reduced,
                                              after).reduced
     report.verdicts["filtration_preserved"] = before == after
-    return report
 
 
-def _cmd_dimension(args, seed) -> CommandReport:
+def _cmd_dimension(args, report) -> None:
     spec = parse_algebra_spec(args.algebra)
     basis = _basis_from_args(spec, args)
     graded = contract(spec.algebra, basis)
-    report = CommandReport(command=_echo(args), seed=seed)
     report.notes["Q_star"] = str(graded.homogeneous_dimension)
     report.tables.append(Table(
         "layers", ["weight", "dim"],
         [[str(w), d] for w, d in graded.layer_dims()]))
     report.verdicts["grading"] = check_grading(graded).ok
-    return report
 
 
 def _parse_form(args) -> Form:
@@ -431,46 +431,39 @@ def _parse_form(args) -> Form:
     if args.kind == "rockland":
         if not (args.weights and args.coeffs and args.order):
             raise CLIError("--kind rockland needs --weights, --coeffs, --order")
-        u = [_rational(w, "--weights") for w in args.weights.split(",")]
-        c = [_rational(x, "--coeffs") for x in args.coeffs.split(",")]
+        u = _comma_list("--weights", args.weights)
+        c = _comma_list("--coeffs", args.coeffs)
         try:
             return rockland_power_form(u, c, _rational(args.order, "--order"))
         except ValueError as exc:
             raise CLIError(str(exc))
-    if args.kind == "custom":
-        if not (args.weights and args.coeff):
-            raise CLIError("--kind custom needs --weights and --coeff entries")
-        weights = [_rational(w, "--weights") for w in args.weights.split(",")]
-        table = {}
-        for item in args.coeff:
-            if "=" not in item:
-                raise CLIError(f"--coeff {item!r}: expected 'i,j,...=re[,im]'")
-            alpha_s, _, val_s = item.partition("=")
-            alpha = tuple(int(t) - 1 for t in alpha_s.split(","))
-            parts = val_s.split(",")
-            if len(parts) == 1:
-                value = _rational(parts[0], f"--coeff {item!r}")
-            elif len(parts) == 2:
-                value = (_rational(parts[0], f"--coeff {item!r}"),
-                         _rational(parts[1], f"--coeff {item!r}"))
-            else:
-                raise CLIError(f"--coeff {item!r}: too many value parts")
-            table[alpha] = value
-        try:
-            return Form(table, weights)
-        except ValueError as exc:
-            raise CLIError(str(exc))
-    raise CLIError(f"unknown form kind {args.kind!r}")
+    if not (args.weights and args.coeff):
+        raise CLIError("--kind custom needs --weights and --coeff entries")
+    weights = _comma_list("--weights", args.weights)
+    table = {}
+    for item in args.coeff:
+        where = f"--coeff {item!r}"
+        if "=" not in item:
+            raise CLIError(f"{where}: expected 'i,j,...=re[,im]'")
+        alpha_s, _, val_s = item.partition("=")
+        alpha = tuple(i - 1 for i in _comma_list(where, alpha_s, int))
+        if val_s.count(",") > 1:
+            raise CLIError(f"{where}: too many value parts")
+        value = _comma_list(where, val_s)
+        table[alpha] = value[0] if len(value) == 1 else tuple(value)
+    try:
+        return Form(table, weights)
+    except ValueError as exc:
+        raise CLIError(str(exc))
 
 
-def _cmd_form(args, seed) -> CommandReport:
+def _cmd_form(args, report) -> None:
     form = _parse_form(args)
     shown = form
     if args.show == "adjoint":
         shown = adjoint(form)
     elif args.show == "principal":
         shown = principal_part(form)
-    report = CommandReport(command=_echo(args), seed=seed)
     rows = [[",".join(str(a + 1) for a in alpha), str(re), str(im)]
             for alpha, (re, im) in shown.items()]
     report.tables.append(Table("form", ["multi_index", "re", "im"], rows))
@@ -480,7 +473,7 @@ def _cmd_form(args, seed) -> CommandReport:
     report.notes["homogeneous"] = is_homogeneous(form)
     report.notes["order_compatible"] = order_compatibility(form, form.weights)
     if args.rockland_check:
-        lam_grid = [float(x) for x in args.lambda_grid.split(",")]
+        lam_grid = _comma_list("--lambda-grid", args.lambda_grid, float)
         screen = heisenberg_rockland_check(form, args.rockland_check, lam_grid,
                                            n_characters=args.characters)
         report.tables.append(Table(
@@ -491,16 +484,14 @@ def _cmd_form(args, seed) -> CommandReport:
         if screen.character_witness is not None:
             report.notes["character_witness"] = list(screen.character_witness)
         report.verdicts["rockland_screen"] = screen.passed
-    return report
 
 
-def _cmd_verify_growth(args, seed) -> CommandReport:
+def _cmd_verify_growth(args, report) -> None:
     backend = make_backend(args.backend)
     growth = verify_growth(backend, s_min=args.s_from, s_max=args.s_to,
                            points_per_decade=args.points_per_decade,
                            tol=args.tol)
-    report = CommandReport(command=_echo(args), seed=seed,
-                           normalization=backend.normalization)
+    report.normalization = backend.normalization
     verdict = "pass" if growth.passed else "fail"
     rows = [[s, v, growth.fitted_exponent, str(growth.target),
              growth.residual, verdict] for s, v in growth.samples]
@@ -511,16 +502,14 @@ def _cmd_verify_growth(args, seed) -> CommandReport:
     report.notes["target"] = str(growth.target)
     report.notes["tolerance"] = growth.tolerance
     report.verdicts["growth"] = growth.passed
-    return report
 
 
-def _cmd_heat_trace(args, seed) -> CommandReport:
+def _cmd_heat_trace(args, report) -> None:
     backend = make_backend(args.backend)
-    times = sorted(float(x) for x in args.times.split(","))
+    times = sorted(_comma_list("--times", args.times, float))
     if any(t <= 0 for t in times):
         raise CLIError("--times must be positive")
-    report = CommandReport(command=_echo(args), seed=seed,
-                           normalization=backend.normalization)
+    report.normalization = backend.normalization
     cross = args.cross_check
     if cross and backend.cross_check is None:
         raise CLIError("--cross-check is defined for the heisenberg backend")
@@ -548,25 +537,22 @@ def _cmd_heat_trace(args, seed) -> CommandReport:
     if cross:
         report.notes["cross_check_max_rel"] = worst
         report.verdicts["cross_check"] = worst <= 1e-4
-    return report
 
 
-def _cmd_multiplier_bound(args, seed) -> CommandReport:
+def _cmd_multiplier_bound(args, report) -> None:
     if args.backend:
         backend = make_backend(args.backend)
         q_star, m = backend.Q_star, backend.m
-        normalization = backend.normalization
+        report.normalization = backend.normalization
     else:
         if args.qstar is None or args.m is None:
             raise CLIError("give a backend or both --qstar and --m")
         q_star, m = _rational(args.qstar, "--qstar"), _rational(args.m, "--m")
-        normalization = "abstract (Q*, m) supplied directly"
+        report.normalization = "abstract (Q*, m) supplied directly"
     if args.phi == "heat":
         phi = MultiplierSpec.heat(args.scale)
-    elif args.phi == "power":
-        phi = MultiplierSpec.power_decay(args.power)
     else:
-        raise CLIError(f"unknown multiplier profile {args.phi!r}")
+        phi = MultiplierSpec.power_decay(args.power)
     p, q = float(_rational(args.p, "--p")), float(_rational(args.q, "--q"))
     try:
         bound = multiplier_norm_bound(phi, p, q, q_star, m)
@@ -574,28 +560,22 @@ def _cmd_multiplier_bound(args, seed) -> CommandReport:
                       if args.phi == "heat" else None)
     except ValueError as exc:
         raise CLIError(str(exc))
-    report = CommandReport(command=_echo(args), seed=seed,
-                           normalization=normalization)
-    a = float(q_star) / float(m) * (1.0 / p - 1.0 / q)
-    rows = [[phi.name, p, q, a, bound]]
+    rows = [[phi.name, p, q, _lp_lq_exponent(p, q, q_star, m), bound]]
     report.tables.append(Table(
         "multiplier_bound", ["phi", "p", "q", "exponent_a", "bound"], rows))
     if heat_bound is not None:
         report.notes["heat_scaling_bound"] = heat_bound
-    return report
 
 
-def _cmd_embedding_witness(args, seed) -> CommandReport:
-    cutoffs = [int(x) for x in args.cutoffs.split(",")]
+def _cmd_embedding_witness(args, report) -> None:
+    cutoffs = _comma_list("--cutoffs", args.cutoffs, int)
     p, q = float(_rational(args.p, "--p")), float(_rational(args.q, "--q"))
-    report = CommandReport(
-        command=_echo(args), seed=seed,
-        normalization=f"probability Haar on [0,1)^{args.n}; >=4x oversampled")
+    report.normalization = f"probability Haar on [0,1)^{args.n}; >=4x oversampled"
     rows = []
     for cut in cutoffs:
         wit = torus_embedding_witness(args.n, p, q, args.gamma,
                                       trials=args.trials, freq_cutoff=cut,
-                                      seed=seed)
+                                      seed=report.seed)
         rows.append([cut, wit.max_ratio, wit.best_candidate])
     report.tables.append(Table(
         "witness", ["freq_cutoff", "max_ratio", "best_candidate"], rows))
@@ -610,7 +590,6 @@ def _cmd_embedding_witness(args, seed) -> CommandReport:
         growth = rows[-1][1] / rows[0][1]
         report.notes["ratio_growth"] = growth
         report.verdicts["growth"] = growth > args.check_growth
-    return report
 
 
 def _envelope_grid(t_min: float, t_max: float, r_max: float, points: int):
@@ -632,15 +611,16 @@ def _envelope_grid(t_min: float, t_max: float, r_max: float, points: int):
     return cells
 
 
-def _cmd_envelope(args, seed) -> CommandReport:
+def _cmd_envelope(args, report) -> None:
+    for flag, value in (("--t-min", args.t_min), ("--t-max", args.t_max)):
+        if value <= 0:
+            raise CLIError(f"{flag} must be positive, got {value}")
     cells = _envelope_grid(args.t_min, args.t_max, args.r_max, args.points)
     samples = [(t, r, h1_heat_kernel(t, pt)) for t, r, pt in cells]
     fit = fit_gaussian_envelope(samples, m=2.0, Q_star=4.0,
                                 cap_factor=args.cap_factor)
-    report = CommandReport(
-        command=_echo(args), seed=seed,
-        normalization="heisenberg kernel, Lebesgue Haar; quasi-norm proxy "
-                      "((x^2+y^2)^2 + u^2)^(1/4)")
+    report.normalization = ("heisenberg kernel, Lebesgue Haar; quasi-norm "
+                            "proxy ((x^2+y^2)^2 + u^2)^(1/4)")
     rows = []
     for (t, r, _), (_, _, v) in zip(cells, samples):
         rows.append([t, r, v, gaussian_envelope(t, r, fit.params)])
@@ -651,52 +631,30 @@ def _cmd_envelope(args, seed) -> CommandReport:
     report.notes["omega"] = fit.params.omega
     report.notes["margin"] = fit.margin
     report.verdicts["domination"] = fit.violations == 0
-    return report
 
 
-def _cmd_annuli(args, seed) -> CommandReport:
-    times = [float(x) for x in args.times.split(",")]
-    params = GaussianParams(1.0, args.b, 0.0, float(args.m),
-                            float(_rational(args.qstar, "--qstar")))
-    volume = VolumeModel(float(_rational(args.qstar, "--qstar")), args.beta)
-    rep = annuli_integral_check(times, params, volume)
-    report = CommandReport(
-        command=_echo(args), seed=seed,
-        normalization=f"volume model r^Q* stitched to exp({args.beta}(r-1))")
+def _cmd_annuli(args, report) -> None:
+    times = _comma_list("--times", args.times, float)
+    q_star = float(_rational(args.qstar, "--qstar"))
+    params = GaussianParams(1.0, args.b, 0.0, float(args.m), q_star)
+    rep = annuli_integral_check(times, params, VolumeModel(q_star, args.beta))
+    report.normalization = f"volume model r^Q* stitched to exp({args.beta}(r-1))"
     rows = [[row.t, row.integral, row.ratio, row.tail_bound,
              "pass" if row.certified else "fail"] for row in rep.rows]
     report.tables.append(Table(
         "annuli", ["t", "integral", "ratio", "certified_tail", "verdict"],
         rows))
-    series = dyadic_series_bound(args.b, float(args.m),
-                                 float(_rational(args.qstar, "--qstar")))
+    series = dyadic_series_bound(args.b, float(args.m), q_star)
     report.notes["dyadic_series"] = series.value
     report.notes["dyadic_tail"] = series.tail_bound
     report.notes["limit_estimate"] = rep.limit_estimate
     report.verdicts["finite"] = rep.bounded
     report.verdicts["converging"] = rep.converging
-    return report
 
 
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
-
-def _echo(args) -> list[str]:
-    return list(getattr(args, "_argv", []))
-
-
-def _add_algebra_options(sub):
-    sub.add_argument("algebra", help="catalog name or spec file path")
-    sub.add_argument("--basis", default="canonical",
-                     help="named basis from the algebra file or catalog entry "
-                          "(default: canonical)")
-    sub.add_argument("--weights",
-                     help="comma list of rational weights; applies to the "
-                          "first k basis vectors unless --indices is given")
-    sub.add_argument("--indices",
-                     help="comma list of 1-based basis indices for --weights")
-
 
 def _common_flags(p: argparse.ArgumentParser) -> None:
     # SUPPRESS defaults let the flags appear before or after the subcommand
@@ -723,21 +681,23 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("algebra", help="catalog name or spec file path")
     s.set_defaults(handler=_cmd_algebra)
 
-    s = sub.add_parser("contract", help="graded contraction of a weighted algebra")
-    _add_algebra_options(s)
-    s.set_defaults(handler=_cmd_contract)
-
-    s = sub.add_parser("filtration", help="filtration jumps and spaces")
-    _add_algebra_options(s)
-    s.set_defaults(handler=_cmd_filtration)
-
-    s = sub.add_parser("reduce", help="reduce a weighted basis")
-    _add_algebra_options(s)
-    s.set_defaults(handler=_cmd_reduce)
-
-    s = sub.add_parser("dimension", help="homogeneous dimension of the contraction")
-    _add_algebra_options(s)
-    s.set_defaults(handler=_cmd_dimension)
+    for name, handler, text in [
+            ("contract", _cmd_contract, "graded contraction of a weighted algebra"),
+            ("filtration", _cmd_filtration, "filtration jumps and spaces"),
+            ("reduce", _cmd_reduce, "reduce a weighted basis"),
+            ("dimension", _cmd_dimension,
+             "homogeneous dimension of the contraction")]:
+        s = sub.add_parser(name, help=text)
+        s.add_argument("algebra", help="catalog name or spec file path")
+        s.add_argument("--basis", default="canonical",
+                       help="named basis from the algebra file or catalog "
+                            "entry (default: canonical)")
+        s.add_argument("--weights",
+                       help="comma list of rational weights; applies to the "
+                            "first k basis vectors unless --indices is given")
+        s.add_argument("--indices",
+                       help="comma list of 1-based basis indices for --weights")
+        s.set_defaults(handler=handler)
 
     s = sub.add_parser("form", help="build and inspect operator forms")
     s.add_argument("--kind", choices=["sublaplacian", "rockland", "custom"],
@@ -830,11 +790,11 @@ def build_parser() -> argparse.ArgumentParser:
 def dispatch(argv: list[str]) -> tuple[CommandReport, argparse.Namespace]:
     parser = build_parser()
     args = parser.parse_args(argv)
-    args._argv = list(argv)
     seed = getattr(args, "seed", None)
     if seed is None:
         seed = int(os.environ.get("LIESPEC_SEED", "0"))
-    report = args.handler(args, seed)
+    report = CommandReport(command=list(argv), seed=seed)
+    args.handler(args, report)
     return report, args
 
 
@@ -843,10 +803,7 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     try:
         report, args = dispatch(argv)
-    except CLIError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError, OSError) as exc:
+    except (CLIError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     emit(report, getattr(args, "format", "json"), getattr(args, "output", None))

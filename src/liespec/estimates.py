@@ -243,6 +243,8 @@ def fit_gaussian_envelope(samples: Sequence[tuple[float, float, float]],
     """
     if not samples:
         raise ValueError("need at least one sample")
+    if cap_factor <= 0:
+        raise ValueError(f"cap_factor must be positive, got {cap_factor}")
     e = 1.0 / (m - 1.0)
     positive = [(t, (r ** m / t) ** e, v) for t, r, v in samples if v > 0.0]
     if not positive:

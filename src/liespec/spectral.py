@@ -361,14 +361,16 @@ def verify_growth(backend: SpectralBackend,
     """Fit the counting function's growth exponent against Q*/m.
 
     The target comes from the contraction machinery via the backend; it is
-    never hand-entered here.  A NaN or infinite ``s_min``/``s_max`` is
-    rejected by name and value; explicit grid points meet the same check in
-    ``counting_function``.
+    never hand-entered here.  A NaN, infinite or nonpositive
+    ``s_min``/``s_max`` is rejected by name and value; explicit grid points
+    meet the same checks in ``counting_function``.
     """
     if s_grid is None:
         for name, s in (("s_min", s_min), ("s_max", s_max)):
             if not math.isfinite(s):
                 raise ValueError(f"{name} must be finite, got {s}")
+            if s <= 0:
+                raise ValueError(f"{name} must be positive, got {s}")
         decades = math.log10(s_max) - math.log10(s_min)
         npts = max(int(round(decades * points_per_decade)) + 1, 5)
         s_grid = list(np.logspace(math.log10(s_min), math.log10(s_max), npts))
@@ -396,15 +398,15 @@ def _check_pq(p: float, q: float) -> None:
 class MultiplierSpec:
     """A decreasing multiplier profile phi with phi(0) = 1 and phi -> 0.
 
-    Either a closed-form callable or a dense sample grid.  Validation checks
-    the endpoints and monotonicity on a wide logarithmic probe grid.
+    A closed-form callable, or the piecewise-linear interpolant of a sample
+    grid (zero past the last sample).  Validation checks the endpoints and
+    monotonicity on a wide logarithmic probe grid.
     """
 
     def __init__(self, evaluate: Callable[[float], float], name: str,
                  probe_max: float = 1e12, tail_threshold: float = 1e-3):
         self.evaluate = evaluate
         self.name = name
-        self.grid_only = False
         probe = np.concatenate(([0.0], np.logspace(-10, math.log10(probe_max), 221)))
         vals = np.array([float(evaluate(x)) for x in probe])
         if abs(vals[0] - 1.0) > 1e-12:
@@ -441,36 +443,34 @@ class MultiplierSpec:
             raise ValueError("sample grid must be strictly increasing")
         if np.any(np.diff(values) > 1e-12):
             raise ValueError("sampled multiplier values must be non-increasing")
-
-        def interp(lam: float) -> float:
-            if lam >= lams[-1]:
-                return float(values[-1])
-            return float(np.interp(lam, lams, values))
-
-        spec = MultiplierSpec.__new__(MultiplierSpec)
-        spec.evaluate = interp
-        spec.name = f"samples[{len(lams)}]"
-        spec.grid_only = True
-        spec._sample_grid = (lams, values)
         if abs(values[0] - 1.0) > 1e-12:
             raise ValueError("phi(0) must be 1")
         if values[-1] > 1e-3:
             raise ValueError("sampled multiplier does not decay")
-        return spec
+
+        def interp(lam: float) -> float:
+            if lam > lams[-1]:
+                return 0.0
+            return float(np.interp(lam, lams, values))
+
+        return MultiplierSpec(interp, f"samples[{len(lams)}]")
+
+
+def _lp_lq_exponent(p: float, q: float, Q_star, m) -> float:
+    """a = (Q*/m)(1/p - 1/q); Q* and m must be finite and positive."""
+    _check_pq(p, q)
+    for name, value in (("Q_star", Q_star), ("m", m)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value}")
+    return float(Q_star) / float(m) * (1.0 / p - 1.0 / q)
 
 
 def multiplier_norm_bound(phi: MultiplierSpec, p: float, q: float,
                           Q_star, m) -> float:
     """sup_{s>0} phi(s) s^a with a = (Q*/m)(1/p - 1/q), by refined grid search."""
-    _check_pq(p, q)
-    a = float(Q_star) / float(m) * (1.0 / p - 1.0 / q)
+    a = _lp_lq_exponent(p, q, Q_star, m)
     if a == 0.0:
         return float(phi.evaluate(0.0))
-
-    if phi.grid_only:
-        lams, values = phi._sample_grid
-        vals = values * np.power(lams, a, where=lams > 0, out=np.zeros_like(lams))
-        return float(vals.max())
 
     lo, hi = 1e-12, 1e12
     best = 0.0
@@ -506,10 +506,9 @@ def multiplier_norm_bound(phi: MultiplierSpec, p: float, q: float,
 
 def heat_lp_lq_bound(s: float, p: float, q: float, Q_star, m) -> float:
     """Unit-constant heat semigroup bound s^{-(Q*/m)(1/p - 1/q)}."""
-    _check_pq(p, q)
+    a = _lp_lq_exponent(p, q, Q_star, m)
     if s <= 0:
         raise ValueError("s must be positive")
-    a = float(Q_star) / float(m) * (1.0 / p - 1.0 / q)
     return s ** (-a)
 
 

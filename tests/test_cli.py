@@ -169,6 +169,52 @@ class TestDispatch:
             assert main(argv) == 2, argv
             assert capsys.readouterr() == ("", stderr), argv
 
+    def test_named_flag_errors(self, capsys):
+        capsys.readouterr()
+        int_x = "invalid literal for int() with base 10: 'x'"
+        for argv, stderr in [
+            (["contract", "su2", "--weights", "1,1", "--indices", "1,x"],
+             f"error: --indices: {int_x}\n"),
+            (["heat-trace", "su2", "--times", "1e-3,abc"],
+             "error: --times: could not convert string to float: 'abc'\n"),
+            (["annuli", "--times", "1e-2,x"],
+             "error: --times: could not convert string to float: 'x'\n"),
+            (["embedding-witness", "--gamma", "0.25", "--cutoffs", "8,x"],
+             f"error: --cutoffs: {int_x}\n"),
+            (["form", "--kind", "custom", "--weights", "1,1",
+              "--coeff", "1,x=1"],
+             f"error: --coeff '1,x=1': {int_x}\n"),
+            (["form", "--kind", "sublaplacian", "--dim", "2",
+              "--rockland-check", "8", "--lambda-grid", "1,x"],
+             "error: --lambda-grid: could not convert string to float: 'x'\n"),
+            (["reduce", "heisenberg1", "--weights", "1,x"],
+             "error: --weights: cannot parse rational 'x': "
+             "Invalid literal for Fraction: 'x'\n"),
+        ]:
+            assert main(argv) == 2, argv
+            assert capsys.readouterr() == ("", stderr), argv
+
+    def test_nonpositive_inputs_named(self, capsys):
+        capsys.readouterr()
+        for argv, stderr in [
+            (["multiplier-bound", "--qstar", "4", "--m", "0"],
+             "error: m must be finite and positive, got 0\n"),
+            (["multiplier-bound", "--qstar", "4", "--m", "-2"],
+             "error: m must be finite and positive, got -2\n"),
+            (["multiplier-bound", "--qstar", "0", "--m", "2"],
+             "error: Q_star must be finite and positive, got 0\n"),
+            (["verify-growth", "su2", "--from", "0"],
+             "error: s_min must be positive, got 0.0\n"),
+            (["envelope", "--points", "4", "--t-min", "0"],
+             "error: --t-min must be positive, got 0.0\n"),
+            (["envelope", "--points", "4", "--t-max", "0"],
+             "error: --t-max must be positive, got 0.0\n"),
+            (["envelope", "--points", "4", "--cap-factor", "0"],
+             "error: cap_factor must be positive, got 0.0\n"),
+        ]:
+            assert main(argv) == 2, argv
+            assert capsys.readouterr() == ("", stderr), argv
+
     def test_reduce_builds_three_filtrations(self, monkeypatch):
         # input, reduce_basis's closing check, output: the report's verdicts
         # reuse the input's and the output's filtrations

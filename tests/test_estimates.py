@@ -161,3 +161,10 @@ class TestEnvelopeFit:
     def test_all_nonpositive_rejected(self):
         with pytest.raises(ValueError):
             fit_gaussian_envelope([(1.0, 1.0, 0.0)], 2.0, 4.0)
+
+    def test_nonpositive_cap_factor_named(self):
+        samples = [(1.0, 0.0, 0.0625)]
+        for cap in (0.0, -1.0):
+            with pytest.raises(
+                    ValueError, match=f"^cap_factor must be positive, got {cap}$"):
+                fit_gaussian_envelope(samples, 2.0, 4.0, cap_factor=cap)

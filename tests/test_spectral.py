@@ -211,6 +211,13 @@ class TestCountingFunction:
         with pytest.raises(ValueError, match="^s must be finite, got nan$"):
             verify_growth(SU2, s_grid=[1e1, 1e2, math.nan, 1e3, 1e4])
 
+    def test_nonpositive_limits_named(self):
+        with pytest.raises(ValueError, match="^s_min must be positive, got 0$"):
+            verify_growth(SU2, s_min=0)
+        with pytest.raises(ValueError,
+                           match=r"^s_max must be positive, got -1\.0$"):
+            verify_growth(SU2, s_min=1.0, s_max=-1.0)
+
 
 class TestSu2Spectrum:
     def test_level_one_table(self):
@@ -460,6 +467,26 @@ class TestMultiplierBound:
         phi = MultiplierSpec.from_samples(lams, np.exp(-lams))
         val = multiplier_norm_bound(phi, 4 / 3, 4, 4, 2)
         assert abs(val - 1 / math.e) < 1e-3
+
+    def test_sampled_profile_between_samples(self):
+        # the interpolant 0.45 (3 - s) on [1, 3] makes s phi(s) peak at
+        # s = 1.5 with 1.0125, above every sample point's value (0.9 at s = 1)
+        phi = MultiplierSpec.from_samples([0.0, 1.0, 3.0], [1.0, 0.9, 0.0])
+        val = multiplier_norm_bound(phi, 4 / 3, 4, 4, 2)
+        assert abs(val - 1.0125) < 1e-9
+
+    def test_qstar_and_m_named(self):
+        phi = MultiplierSpec.heat(1.0)
+        for q_star, m, message in [
+                (4, 0, "^m must be finite and positive, got 0$"),
+                (4, -2, "^m must be finite and positive, got -2$"),
+                (0, 2, "^Q_star must be finite and positive, got 0$"),
+                (math.inf, 2, "^Q_star must be finite and positive, got inf$"),
+                (4, math.nan, "^m must be finite and positive, got nan$")]:
+            with pytest.raises(ValueError, match=message):
+                multiplier_norm_bound(phi, 4 / 3, 4, q_star, m)
+            with pytest.raises(ValueError, match=message):
+                heat_lp_lq_bound(1.0, 4 / 3, 4, q_star, m)
 
     def test_pq_range(self):
         with pytest.raises(ValueError):
