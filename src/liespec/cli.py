@@ -33,8 +33,6 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from . import __version__
 from .catalog import resolve as catalog_resolve
 from .estimates import (
@@ -57,18 +55,6 @@ from .forms import (
     sublaplacian_form,
 )
 from .lie_core import LieAlgebra
-from .spectral import (
-    MultiplierSpec,
-    _lp_lq_exponent,
-    fit_power_exponent,
-    h1_heat_kernel,
-    heat_lp_lq_bound,
-    heat_trace_l2,
-    make_backend,
-    multiplier_norm_bound,
-    torus_embedding_witness,
-    verify_growth,
-)
 from .weighted import (
     WeightedBasis,
     _is_reduced,
@@ -241,7 +227,9 @@ def _comma_list(flag: str, text: str, convert=None) -> list:
 
 def _basis_from_args(spec: AlgebraSpec, args) -> WeightedBasis:
     """--weights/--indices override the named basis; weights alone apply to
-    the first k basis vectors."""
+    the first k basis vectors, and --indices needs --weights."""
+    if args.indices and not args.weights:
+        raise CLIError("--indices needs --weights")
     if args.weights:
         weights = _comma_list("--weights", args.weights)
         if args.indices:
@@ -486,7 +474,11 @@ def _cmd_form(args, report) -> None:
         report.verdicts["rockland_screen"] = screen.passed
 
 
+# The lab handlers import the numerics themselves, so that the exact
+# commands start without numpy and scipy.
+
 def _cmd_verify_growth(args, report) -> None:
+    from .spectral import make_backend, verify_growth
     backend = make_backend(args.backend)
     growth = verify_growth(backend, s_min=args.s_from, s_max=args.s_to,
                            points_per_decade=args.points_per_decade,
@@ -505,6 +497,7 @@ def _cmd_verify_growth(args, report) -> None:
 
 
 def _cmd_heat_trace(args, report) -> None:
+    from .spectral import fit_power_exponent, heat_trace_l2, make_backend
     backend = make_backend(args.backend)
     times = sorted(_comma_list("--times", args.times, float))
     if any(t <= 0 for t in times):
@@ -540,6 +533,8 @@ def _cmd_heat_trace(args, report) -> None:
 
 
 def _cmd_multiplier_bound(args, report) -> None:
+    from .spectral import (MultiplierSpec, _lp_lq_exponent, heat_lp_lq_bound,
+                           make_backend, multiplier_norm_bound)
     if args.backend:
         backend = make_backend(args.backend)
         q_star, m = backend.Q_star, backend.m
@@ -568,6 +563,7 @@ def _cmd_multiplier_bound(args, report) -> None:
 
 
 def _cmd_embedding_witness(args, report) -> None:
+    from .spectral import torus_embedding_witness
     cutoffs = _comma_list("--cutoffs", args.cutoffs, int)
     p, q = float(_rational(args.p, "--p")), float(_rational(args.q, "--q"))
     report.normalization = f"probability Haar on [0,1)^{args.n}; >=4x oversampled"
@@ -594,6 +590,7 @@ def _cmd_embedding_witness(args, report) -> None:
 
 def _envelope_grid(t_min: float, t_max: float, r_max: float, points: int):
     """(t, r, group point) grid mixing planar, central and diagonal directions."""
+    import numpy as np
     ts = np.logspace(math.log10(t_min), math.log10(t_max), points)
     rs = np.linspace(0.0, r_max, points)
     cells = []
@@ -612,6 +609,7 @@ def _envelope_grid(t_min: float, t_max: float, r_max: float, points: int):
 
 
 def _cmd_envelope(args, report) -> None:
+    from .spectral import h1_heat_kernel
     for flag, value in (("--t-min", args.t_min), ("--t-max", args.t_max)):
         if value <= 0:
             raise CLIError(f"{flag} must be positive, got {value}")

@@ -8,7 +8,7 @@ the basis vector fields selected by alpha.
 
 Exact arithmetic is kept for all structural operations (principal part,
 adjoint, symmetry); only the finite injectivity screen at the bottom of this
-module uses floating point.
+module uses floating point, and only it imports numpy.
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
-
-import numpy as np
 
 from .lie_core import as_fraction
 from .weighted import WeightedBasis, rational_lcm, weighted_length
@@ -180,6 +178,7 @@ def _h1_generator_matrices(lam: float, size: int) -> tuple[np.ndarray, ...]:
     In the scaled ladder operators A, A* (A e_k = sqrt(k) e_{k-1}):
     d/dxi = sqrt(|lam|/2) (A - A*) and xi = (A + A*) / sqrt(2|lam|).
     """
+    import numpy as np
     k = np.arange(1, size)
     a = np.diag(np.sqrt(k), 1)          # annihilation
     adag = a.T                          # creation
@@ -191,6 +190,7 @@ def _h1_generator_matrices(lam: float, size: int) -> tuple[np.ndarray, ...]:
 
 
 def _evaluate_form(C: Form, mats: Sequence[np.ndarray], size: int) -> np.ndarray:
+    import numpy as np
     out = np.zeros((size, size), dtype=complex)
     for alpha, z in C.coefficients.items():
         term = np.eye(size, dtype=complex)
@@ -213,6 +213,7 @@ def heisenberg_rockland_check(C: Form, n_hermite: int,
     generators act as ia, ib and the third as 0.  Any numerically vanishing
     singular value fails the screen.  This is a screen, not a proof.
     """
+    import numpy as np
     if C.weights == H1_WEIGHTS[:2]:
         # a form over the two generators embeds with no central coefficient
         C = Form(dict(C.coefficients), H1_WEIGHTS)

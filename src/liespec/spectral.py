@@ -40,8 +40,6 @@ from fractions import Fraction
 from typing import Callable, ClassVar, Sequence
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import zeta
 
 from .catalog import resolve
 from .weighted import WeightedBasis, contract
@@ -168,6 +166,10 @@ def make_backend(name: str) -> SpectralBackend:
             f"torus{n}", q, Fraction(2),
             "probability Haar on [0,1)^n; eigenvalues |2*pi*xi|^2", n)
     if key == "heisenberg":
+        # count, heat_trace and cross_check need scipy: load it with the
+        # backend, so that no later call pays the import
+        import scipy.integrate  # noqa: F401
+        import scipy.special  # noqa: F401
         q = _contracted_qstar("heisenberg1")
         return _Heisenberg(
             "heisenberg", q, Fraction(2),
@@ -210,6 +212,7 @@ def _ball_count(n: int, R: int) -> int:
 
 def h1_counting_constant() -> float:
     """kappa with N(s) = kappa * s^2, from the documented Plancherel sum."""
+    from scipy.special import zeta
     odd_inverse_square_sum = float(zeta(2, 0.5)) / 4.0
     return odd_inverse_square_sum / (4.0 * math.pi ** 2)
 
@@ -284,6 +287,7 @@ def h1_heat_kernel(t: float, point: Sequence[float] = (0.0, 0.0, 0.0),
     """
     if t <= 0:
         raise ValueError("t must be positive")
+    from scipy.integrate import quad
     x, y, u = (float(c) for c in point)
     rho2 = x * x + y * y
     prefactor = 1.0 / (4.0 * math.pi ** 2)
@@ -410,7 +414,7 @@ class MultiplierSpec:
         probe = np.concatenate(([0.0], np.logspace(-10, math.log10(probe_max), 221)))
         vals = np.array([float(evaluate(x)) for x in probe])
         if abs(vals[0] - 1.0) > 1e-12:
-            raise ValueError(f"phi(0) must be 1 (got {vals[0]!r})")
+            raise ValueError(f"phi(0) must be 1 (got {float(vals[0])!r})")
         if np.any(np.diff(vals) > 1e-12):
             raise ValueError("phi must be non-increasing")
         if vals[-1] > tail_threshold:

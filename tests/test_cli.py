@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -190,6 +194,10 @@ class TestDispatch:
             (["reduce", "heisenberg1", "--weights", "1,x"],
              "error: --weights: cannot parse rational 'x': "
              "Invalid literal for Fraction: 'x'\n"),
+            (["contract", "su2", "--indices", "1,x"],
+             "error: --indices needs --weights\n"),
+            (["reduce", "engel4", "--indices", "1,2,3,4"],
+             "error: --indices needs --weights\n"),
         ]:
             assert main(argv) == 2, argv
             assert capsys.readouterr() == ("", stderr), argv
@@ -302,3 +310,130 @@ class TestCatalogNames:
     def test_resolve_rejects_unknown(self):
         with pytest.raises(KeyError):
             resolve("f4")
+
+
+HERE = Path(__file__).resolve().parent
+SRC = HERE.parent / "src"
+
+
+def _numerics_loaded(code: str) -> list:
+    """Run ``code`` in a fresh interpreter; the numerics it leaves loaded."""
+    code += ("\nimport sys\n"
+             "print(*[m for m in ('numpy', 'scipy', 'scipy.integrate')\n"
+             "        if m in sys.modules])\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          cwd=HERE, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1].split()
+
+
+def _numerics_after_main(argv: list[str]) -> list:
+    return _numerics_loaded(
+        "import contextlib, io\n"
+        "from liespec.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({argv!r}) == 0\n")
+
+
+class TestImportBoundary:
+    @pytest.mark.parametrize("argv", [
+        ["contract", "su2"],
+        ["filtration", "engel4"],
+        ["reduce", "engel4", "--weights", "1,1,3,3", "--indices", "1,2,3,4"],
+        ["dimension", "heisenberg4"],
+        ["algebra", "se2"],
+        ["form", "--kind", "rockland", "--weights", "1,2", "--coeffs", "1,1",
+         "--order", "4"],
+        ["annuli", "--qstar", "4", "--m", "2", "--b", "1", "--beta", "1",
+         "--times", "1e-2,1e-3,1e-4"],
+    ], ids=" ".join)
+    def test_command_loads_no_numerics(self, argv):
+        assert _numerics_after_main(argv) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["verify-growth", "torus2"],
+        ["embedding-witness", "--gamma", "0.25", "--cutoffs", "8,16"],
+    ], ids=" ".join)
+    def test_lab_command_off_heisenberg_loads_no_scipy(self, argv):
+        assert "scipy" not in _numerics_after_main(argv)
+
+    def test_heisenberg_backend_brings_its_quadrature(self):
+        loaded = _numerics_loaded(
+            "from liespec.spectral import make_backend\n"
+            "make_backend('heisenberg')\n")
+        assert "scipy.integrate" in loaded
+
+
+class TestPackageSurface:
+    # every public name of the package before its numerics loaded lazily
+    NAMES = [
+        "AnnuliReport", "CatalogEntry", "DyadicSeriesBound",
+        "EmbeddingWitnessReport", "EnvelopeFit", "ExactnessError",
+        "Filtration", "Form", "GaussianParams", "GradedLieAlgebra",
+        "GrowthReport", "JacobiReport", "LieAlgebra", "MultiplierSpec",
+        "NilpotencyReport", "PowerFit", "QuadratureError",
+        "RocklandScreenReport", "SpectralBackend", "Subspace", "VolumeModel",
+        "WeightedBasis", "abelian", "adjoint", "annuli_integral_check",
+        "as_fraction", "as_vector", "build_filtration", "catalog",
+        "catalog_names", "check_grading", "contract", "counting_function",
+        "dyadic_series_bound", "engel4", "estimates", "filtration_law_holds",
+        "fit_gaussian_envelope", "fit_power_exponent", "forms",
+        "gaussian_envelope", "h1_counting_constant", "h1_heat_kernel",
+        "heat_lp_lq_bound", "heat_trace_l2", "heisenberg",
+        "heisenberg_rockland_check", "homogeneous_dimension",
+        "is_algebraic_basis", "is_homogeneous", "is_reduced", "is_symmetric",
+        "isomorphic_to_heisenberg1", "lie_core", "make_backend",
+        "multiplier_norm_bound", "order_compatibility", "principal_part",
+        "rational_lcm", "reduce_basis", "resolve_catalog",
+        "rockland_power_form", "se2", "sl2r", "so3", "span", "spectral", "su2",
+        "su2_sublaplacian_spectrum", "sublaplacian_form",
+        "torus_embedding_witness", "verify_growth", "weighted",
+        "weighted_length",
+    ]
+
+    def test_every_name_resolves_and_is_listed(self):
+        import liespec
+        for name in self.NAMES:
+            assert getattr(liespec, name) is not None, name
+        assert sorted(liespec.__all__) == self.NAMES
+        assert set(self.NAMES) <= set(dir(liespec))
+
+    def test_star_import_binds_the_spectral_names(self):
+        import liespec.spectral
+        namespace = {}
+        exec("from liespec import *", namespace)
+        del namespace["__builtins__"]
+        assert sorted(namespace) == self.NAMES
+        assert namespace["make_backend"] is liespec.spectral.make_backend
+
+    def test_spectral_names_follow_a_patch(self, monkeypatch):
+        import liespec
+        import liespec.spectral
+        assert liespec.make_backend is liespec.spectral.make_backend
+
+        def fake(name):
+            return name
+        monkeypatch.setattr(liespec.spectral, "make_backend", fake)
+        assert liespec.make_backend is fake
+        monkeypatch.undo()
+        assert liespec.make_backend is liespec.spectral.make_backend
+
+
+RECORDED = json.loads((HERE / "cli_reports.json").read_text(encoding="utf-8"))
+
+
+class TestRecordedReports:
+    """Reports replay byte for byte: the cli-batch benchmark commands and
+    every README example (``tests/record_cli_reports.py`` records them)."""
+
+    def test_reports_replay_byte_for_byte(self, tmp_path, monkeypatch):
+        from record_cli_reports import run
+        monkeypatch.chdir(tmp_path)        # --output files land here, in order
+        monkeypatch.delenv("LIESPEC_SEED", raising=False)
+        changed = [r["argv"] for r in RECORDED if run(r["argv"]) != r]
+        assert changed == []
+
+    def test_every_readme_example_is_recorded(self):
+        from record_cli_reports import commands
+        assert commands() == [r["argv"] for r in RECORDED]

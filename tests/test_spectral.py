@@ -462,6 +462,11 @@ class TestMultiplierBound:
         with pytest.raises(ValueError):
             MultiplierSpec(lambda lam: 1.0, "no-decay")
 
+    def test_endpoint_error_shows_a_plain_float(self):
+        with pytest.raises(ValueError) as info:
+            MultiplierSpec(lambda s: 0.5 * math.exp(-s), "half")
+        assert str(info.value) == "phi(0) must be 1 (got 0.5)"
+
     def test_sampled_profile(self):
         lams = np.linspace(0.0, 50.0, 20001)
         phi = MultiplierSpec.from_samples(lams, np.exp(-lams))
