@@ -565,6 +565,10 @@ def _cmd_multiplier_bound(args, report) -> None:
 def _cmd_embedding_witness(args, report) -> None:
     from .spectral import torus_embedding_witness
     cutoffs = _comma_list("--cutoffs", args.cutoffs, int)
+    for flag, value in (("--check-plateau", args.check_plateau),
+                        ("--check-growth", args.check_growth)):
+        if value is not None and len(cutoffs) < 2:
+            raise CLIError(f"{flag} needs at least two --cutoffs")
     p, q = float(_rational(args.p, "--p")), float(_rational(args.q, "--q"))
     report.normalization = f"probability Haar on [0,1)^{args.n}; >=4x oversampled"
     rows = []
@@ -577,12 +581,12 @@ def _cmd_embedding_witness(args, report) -> None:
         "witness", ["freq_cutoff", "max_ratio", "best_candidate"], rows))
     report.notes["gamma"] = args.gamma
     report.notes["certificate"] = "lower bounds only; never an upper bound"
-    if args.check_plateau is not None and len(rows) >= 2:
+    if args.check_plateau is not None:
         lo, hi = rows[-2][1], rows[-1][1]
         variation = abs(hi - lo) / max(lo, hi)
         report.notes["plateau_variation"] = variation
         report.verdicts["plateau"] = variation < args.check_plateau
-    if args.check_growth is not None and len(rows) >= 2:
+    if args.check_growth is not None:
         growth = rows[-1][1] / rows[0][1]
         report.notes["ratio_growth"] = growth
         report.verdicts["growth"] = growth > args.check_growth

@@ -533,56 +533,9 @@ class EmbeddingWitnessReport:
     ratios: tuple[tuple[str, float], ...]
 
 
-def _torus_ratio(coeffs: np.ndarray, p: float, q: float, gamma: float,
-                 oversample: int) -> float:
-    """||f||_q / ||(1+L)^gamma f||_p for one coefficient box (any dimension)."""
-    shape = coeffs.shape
-    n = coeffs.ndim
-    K = (shape[0] - 1) // 2
-    G = oversample * (2 * K + 1)
-    grids = np.meshgrid(*([np.arange(-K, K + 1)] * n), indexing="ij")
-    lat2 = sum(g.astype(float) ** 2 for g in grids)
-    symbol = (1.0 + 4.0 * math.pi ** 2 * lat2) ** gamma
-
-    def evaluate(c: np.ndarray) -> np.ndarray:
-        big = np.zeros((G,) * n, dtype=complex)
-        idx = np.ix_(*[np.arange(-K, K + 1) % G] * n)
-        big[idx] = c
-        return np.fft.ifftn(big) * (G ** n)
-
-    f = evaluate(coeffs)
-    g = evaluate(coeffs * symbol)
-    num = float(np.mean(np.abs(f) ** q) ** (1.0 / q))
-    den = float(np.mean(np.abs(g) ** p) ** (1.0 / p))
-    if den == 0.0:
-        return 0.0
-    return num / den
-
-
-def torus_embedding_witness(n: int, p: float, q: float, gamma: float,
-                            trials: int, freq_cutoff: int,
-                            seed: int = 0,
-                            oversample: int = 4) -> EmbeddingWitnessReport:
-    """Max observed ||f||_q / ||(1+L)^gamma f||_p over a witness family.
-
-    The family mixes deterministic concentrated candidates (Dirichlet, Fejer
-    and Gaussian coefficient profiles of dyadic widths, single modes, the
-    constant) with seeded random trigonometric polynomials; every candidate
-    certifies a lower bound for the embedding constant, never an upper bound.
-    Norms are computed on a >= 4x oversampled grid, exact for the p, q = 2, 4
-    cases by bandwidth counting.
-    """
-    _check_pq(p, q)
-    if gamma < 0:
-        raise ValueError("gamma must be >= 0")
-    if freq_cutoff < 1:
-        raise ValueError("freq_cutoff must be >= 1")
-    if n < 1:
-        raise ValueError("torus dimension must be >= 1")
-    if oversample < 4:
-        raise ValueError("grid must be at least 4x oversampled")
-
-    K = int(freq_cutoff)
+def _witness_family(n: int, K: int, trials: int,
+                    seed: int) -> tuple[np.ndarray, list[tuple[str, np.ndarray]]]:
+    """|xi|^2 on the coefficient box [-K, K]^n and the named candidates."""
     side = 2 * K + 1
     grids = np.meshgrid(*([np.arange(-K, K + 1)] * n), indexing="ij")
     absmax = np.max(np.stack([np.abs(g) for g in grids]), axis=0)
@@ -618,13 +571,83 @@ def torus_embedding_witness(n: int, p: float, q: float, gamma: float,
         noise = rng.standard_normal((side,) * n) \
             + 1j * rng.standard_normal((side,) * n)
         candidates.append((f"random[{trial}]", noise * profile))
+    return lat2, candidates
+
+
+def _padded_ifftn(coeffs: np.ndarray, G: int, pads: list[np.ndarray]) -> np.ndarray:
+    """|G^n ifftn| of the box placed at frequencies -K..K mod G on a G^n grid.
+
+    ``np.fft.ifftn`` runs one ``np.fft.ifft`` pass per axis, last axis
+    first.  This runs the same passes in the same order but pads each axis
+    to G only just before its own pass, so a pass transforms only the lines
+    that can be nonzero.  ``pads[axis]`` is a zeroed buffer of shape
+    (2K+1,)*axis + (G,)*(n-axis); each call rewrites the same entries, so
+    the rest stays zero.
+    """
+    K = (coeffs.shape[0] - 1) // 2
+    c = coeffs
+    for axis in reversed(range(coeffs.ndim)):
+        pad = pads[axis]
+        head = (slice(None),) * axis
+        pad[head + (slice(0, K + 1),)] = c[head + (slice(K, None),)]
+        pad[head + (slice(G - K, None),)] = c[head + (slice(0, K),)]
+        c = np.fft.ifft(pad, axis=axis)
+    c *= G ** coeffs.ndim
+    return np.abs(c)
+
+
+def torus_embedding_witness(n: int, p: float, q: float, gamma: float,
+                            trials: int, freq_cutoff: int,
+                            seed: int = 0,
+                            oversample: int = 4) -> EmbeddingWitnessReport:
+    """Max observed ||f||_q / ||(1+L)^gamma f||_p over a witness family.
+
+    The family mixes deterministic concentrated candidates (Dirichlet, Fejer
+    and Gaussian coefficient profiles of dyadic widths, single modes, the
+    constant) with seeded random trigonometric polynomials; every candidate
+    certifies a lower bound for the embedding constant, never an upper bound.
+    Norms are computed on a >= 4x oversampled grid, exact for the p, q = 2, 4
+    cases by bandwidth counting.
+
+    Cost: with side = 2K+1 and G = oversample * side, each candidate takes
+    sum_{j<n} side^(n-1-j) G^j inverse line transforms of length G (side + G
+    for n = 2), twice when gamma > 0 and once when gamma == 0, where
+    (1+L)^0 f is f.  Candidates are transformed one at a time, so memory is
+    O(G^n) above the O(trials * side^n) family.
+    """
+    _check_pq(p, q)
+    if not gamma >= 0 or not math.isfinite(gamma):
+        raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
+    if not float(freq_cutoff).is_integer():
+        raise ValueError(f"freq_cutoff must be an integer, got {freq_cutoff}")
+    if freq_cutoff < 1:
+        raise ValueError("freq_cutoff must be >= 1")
+    if n < 1:
+        raise ValueError("torus dimension must be >= 1")
+    if oversample < 4:
+        raise ValueError("grid must be at least 4x oversampled")
+
+    K = int(freq_cutoff)
+    side = 2 * K + 1
+    G = oversample * side
+    lat2, candidates = _witness_family(n, K, trials, seed)
+    symbol = (1.0 + 4.0 * math.pi ** 2 * lat2) ** gamma
+    pads = [np.zeros((side,) * axis + (G,) * (n - axis), dtype=complex)
+            for axis in range(n)]
 
     ratios = []
     best, best_name = 0.0, ""
     for name_c, c in candidates:
-        r = _torus_ratio(np.asarray(c, dtype=complex), p, q, gamma, oversample)
-        ratios.append((name_c, float(r)))
+        coeffs = np.asarray(c, dtype=complex)
+        f = _padded_ifftn(coeffs, G, pads)
+        g = f if gamma == 0 else _padded_ifftn(coeffs * symbol, G, pads)
+        num = float(np.mean(f ** q) ** (1.0 / q))
+        den = float(np.mean(g ** p) ** (1.0 / p))
+        r = 0.0 if den == 0.0 else num / den
+        ratios.append((name_c, r))
         if r > best:
-            best, best_name = float(r), name_c
+            best, best_name = r, name_c
     return EmbeddingWitnessReport(best, best_name, K, gamma, p, q, trials,
                                   seed, tuple(ratios))

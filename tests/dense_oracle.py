@@ -10,11 +10,20 @@ as their first argument instead of ``self``.  The fast paths in
 
 ``_rref`` here divides with ``1 / pivot``, so rows that hold Python ints
 come out as floats; feed it Fraction rows.
+
+``_torus_ratio`` is the embedding witness's ratio for one candidate as the
+library computed it before it pruned its transforms: the coefficient box is
+written into a zeroed G^n grid, G = oversample * (2K+1), and ``np.fft.ifftn``
+transforms every line of it.  ``liespec.spectral.torus_embedding_witness``
+must give the same ratios bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+
+import numpy as np
 
 from liespec.lie_core import (
     JacobiReport,
@@ -85,3 +94,29 @@ def _rref(rows: list[list[Fraction]]) -> list[list[Fraction]]:
         if piv_r == len(rows):
             break
     return [row for row in rows[:piv_r]]
+
+
+def _torus_ratio(coeffs: np.ndarray, p: float, q: float, gamma: float,
+                 oversample: int) -> float:
+    """||f||_q / ||(1+L)^gamma f||_p for one coefficient box (any dimension)."""
+    shape = coeffs.shape
+    n = coeffs.ndim
+    K = (shape[0] - 1) // 2
+    G = oversample * (2 * K + 1)
+    grids = np.meshgrid(*([np.arange(-K, K + 1)] * n), indexing="ij")
+    lat2 = sum(g.astype(float) ** 2 for g in grids)
+    symbol = (1.0 + 4.0 * math.pi ** 2 * lat2) ** gamma
+
+    def evaluate(c: np.ndarray) -> np.ndarray:
+        big = np.zeros((G,) * n, dtype=complex)
+        idx = np.ix_(*[np.arange(-K, K + 1) % G] * n)
+        big[idx] = c
+        return np.fft.ifftn(big) * (G ** n)
+
+    f = evaluate(coeffs)
+    g = evaluate(coeffs * symbol)
+    num = float(np.mean(np.abs(f) ** q) ** (1.0 / q))
+    den = float(np.mean(np.abs(g) ** p) ** (1.0 / p))
+    if den == 0.0:
+        return 0.0
+    return num / den

@@ -169,6 +169,10 @@ class TestDispatch:
              "error: s_max must be finite, got nan\n"),
             (["verify-growth", "su2", "--to", "inf"],
              "error: s_max must be finite, got inf\n"),
+            (["embedding-witness", "--gamma", "nan"],
+             "error: gamma must be finite and >= 0, got nan\n"),
+            (["embedding-witness", "--gamma", "inf"],
+             "error: gamma must be finite and >= 0, got inf\n"),
         ]:
             assert main(argv) == 2, argv
             assert capsys.readouterr() == ("", stderr), argv
@@ -198,6 +202,12 @@ class TestDispatch:
              "error: --indices needs --weights\n"),
             (["reduce", "engel4", "--indices", "1,2,3,4"],
              "error: --indices needs --weights\n"),
+            (["embedding-witness", "--gamma", "0.25", "--cutoffs", "8",
+              "--check-plateau", "0.2"],
+             "error: --check-plateau needs at least two --cutoffs\n"),
+            (["embedding-witness", "--gamma", "0", "--cutoffs", "8",
+              "--check-growth", "1.5"],
+             "error: --check-growth needs at least two --cutoffs\n"),
         ]:
             assert main(argv) == 2, argv
             assert capsys.readouterr() == ("", stderr), argv
@@ -219,6 +229,10 @@ class TestDispatch:
              "error: --t-max must be positive, got 0.0\n"),
             (["envelope", "--points", "4", "--cap-factor", "0"],
              "error: cap_factor must be positive, got 0.0\n"),
+            (["embedding-witness", "--gamma", "-0.5"],
+             "error: gamma must be finite and >= 0, got -0.5\n"),
+            (["embedding-witness", "--gamma", "0.25", "--trials", "-3"],
+             "error: trials must be >= 0, got -3\n"),
         ]:
             assert main(argv) == 2, argv
             assert capsys.readouterr() == ("", stderr), argv

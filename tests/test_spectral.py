@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import dense_oracle
+from liespec import spectral
 from liespec.spectral import (
     MultiplierSpec,
     counting_function,
@@ -539,6 +541,61 @@ class TestEmbeddingWitness:
             torus_embedding_witness(1, 2, 4, -0.1, 1, 8)
         with pytest.raises(ValueError):
             torus_embedding_witness(1, 2, 4, 0.1, 1, 0)
+        for gamma in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="gamma must be finite"):
+                torus_embedding_witness(1, 2, 4, gamma, 1, 8)
+        with pytest.raises(ValueError, match="trials must be >= 0, got -3"):
+            torus_embedding_witness(1, 2, 4, 0.25, -3, 8)
+        with pytest.raises(ValueError, match="must be an integer, got 8.7"):
+            torus_embedding_witness(1, 2, 4, 0.25, 1, 8.7)
+        assert torus_embedding_witness(1, 2, 4, 0.25, 1, 8.0).freq_cutoff == 8
+
+    def test_transforms_only_lines_that_can_be_nonzero(self, monkeypatch):
+        # n = 2, K = 5: side 11, G = 44.  Per transform, the last axis is
+        # padded and transformed on the 11 coefficient rows, then axis 0 on
+        # all 44 columns; gamma = 0 transforms each candidate once.
+        shapes = []
+        ifft = np.fft.ifft
+
+        def spy(a, *args, **kwargs):
+            shapes.append((a.shape, kwargs["axis"]))
+            return ifft(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "ifft", spy)
+        monkeypatch.setattr(np.fft, "ifftn", None)
+        for gamma, per_candidate in ((0.0, 1), (0.25, 2)):
+            shapes.clear()
+            rep = torus_embedding_witness(2, 2, 4, gamma, 2, 5)
+            pair = [((11, 44), 1), ((44, 44), 0)]
+            assert shapes == pair * per_candidate * len(rep.ratios)
+
+
+def _oracle_ratios(n, p, q, gamma, trials, K, seed):
+    _, family = spectral._witness_family(n, K, trials, seed)
+    return tuple((name, dense_oracle._torus_ratio(
+        np.asarray(c, dtype=complex), p, q, gamma, 4)) for name, c in family)
+
+
+PQ = [(2.0, 4.0), (1.5, 3.0), (4 / 3, 6.0)]
+
+
+class TestWitnessDenseOracle:
+    """Every ratio equals the dense zero-padded ``ifftn`` route's, bit for bit."""
+
+    @pytest.mark.parametrize("p,q", PQ)
+    @pytest.mark.parametrize("gamma", [0.0, 0.25, 0.5])
+    @pytest.mark.parametrize("n,K", [(1, 16), (2, 8), (3, 3)])
+    def test_dimensions(self, n, K, gamma, p, q):
+        rep = torus_embedding_witness(n, p, q, gamma, 3, K, seed=11)
+        assert rep.ratios == _oracle_ratios(n, p, q, gamma, 3, K, 11)
+
+    # G = 172 = 4 * 43, 180 and 188 = 4 * 47: the spectral-lab cutoffs
+    @pytest.mark.parametrize("p,q", [PQ[0], PQ[2]])
+    @pytest.mark.parametrize("gamma", [0.0, 0.25, 0.5])
+    @pytest.mark.parametrize("K", [21, 22, 23])
+    def test_awkward_grid_lengths(self, K, gamma, p, q):
+        rep = torus_embedding_witness(2, p, q, gamma, 2, K, seed=K)
+        assert rep.ratios == _oracle_ratios(2, p, q, gamma, 2, K, K)
 
 
 class TestCountingConstant:
