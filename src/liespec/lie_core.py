@@ -224,25 +224,34 @@ def span(vectors: Sequence[Vector], ambient_dim: int | None = None) -> Subspace:
     return Subspace(tuple(tuple(r) for r in rows), ambient_dim)
 
 
-def solve_coordinates(rows: Sequence[Vector], v: Vector) -> Vector:
-    """Solve sum_k x_k * rows[k] = v exactly; raises if v is outside."""
-    dim = len(v)
-    # Solve rows^T x = v by eliminating the augmented d x (k+1) system.
-    mat = [[rows[k][i] for k in range(len(rows))] + [v[i]] for i in range(dim)]
-    reduced = _rref(mat)
-    x = [Fraction(0)] * len(rows)
-    for row in reduced:
+def solve_coordinates(rows: Sequence[Vector],
+                      vectors: Sequence[Vector]) -> list[Vector]:
+    """Solve sum_k x_k * rows[k] = v exactly for every v in ``vectors``.
+
+    One elimination of the augmented d x (k + m) system [rows^T | v_1 ... v_m]
+    serves all m vectors; the j-th solution comes back j-th.  Raises
+    ``ValueError`` if any vector lies outside the span of the rows.
+    """
+    if not vectors:
+        return []
+    k = len(rows)
+    mat = [[r[i] for r in rows] + [v[i] for v in vectors]
+           for i in range(len(vectors[0]))]
+    xs = [[Fraction(0)] * k for _ in vectors]
+    for row in _rref(mat):
         col = next(i for i, a in enumerate(row) if a != 0)
-        if col == len(rows):
+        if col >= k:
             raise ValueError("vector not in the span of the given rows")
-        x[col] = row[len(rows)]
-    recon = zero_vector(dim)
-    for xk, r in zip(x, rows):
-        if xk != 0:
-            recon = vec_add(recon, vec_scale(xk, r))
-    if recon != tuple(v):
-        raise ValueError("vector not in the span of the given rows")
-    return tuple(x)
+        for x, a in zip(xs, row[k:]):
+            x[col] = a
+    for x, v in zip(xs, vectors):
+        recon = zero_vector(len(v))
+        for xk, r in zip(x, rows):
+            if xk != 0:
+                recon = vec_add(recon, vec_scale(xk, r))
+        if recon != tuple(v):
+            raise ValueError("vector not in the span of the given rows")
+    return [tuple(x) for x in xs]
 
 
 # ---------------------------------------------------------------------------

@@ -366,55 +366,61 @@ def contract(L: LieAlgebra, basis: WeightedBasis) -> GradedLieAlgebra:
         basis = _reduce_basis(L, basis, filt)
     dim = L.dim
 
-    adapted: list[Vector] = []
-    adapted_weights: list[Fraction] = []
-    adapted_labels: list[str] = []
-    layers: list[tuple[Fraction, int, int]] = []
-    current = Subspace.zero(dim)
+    # Candidates in order of preference, each with its jump and basis index.
+    # A candidate joins the adapted basis iff it lies outside the span of the
+    # candidates before it, i.e. iff its column of the candidate matrix is a
+    # pivot column of that matrix's echelon form.
+    candidates: list[tuple[Vector, Fraction, int | None]] = []
+    for jump, space in zip(filt.jumps, filt.spaces):
+        candidates += [(v, jump, idx) for v, w, idx in
+                       zip(basis.vectors, basis.weights, basis.indices)
+                       if w == jump]
+        candidates += [(row, jump, None) for row in space.rows]
+    columns = span([tuple(v[i] for v, _, _ in candidates)
+                    for i in range(dim)], len(candidates))
+    chosen = [candidates[next(c for c, a in enumerate(row) if a)]
+              for row in columns.rows]
+    if len(chosen) != dim:
+        raise AssertionError("adapted basis does not span the algebra")
+    adapted = [v for v, _, _ in chosen]
+    adapted_weights = [w for _, w, _ in chosen]
+    layers = [(jump, bisect_left(adapted_weights, jump),
+               bisect_right(adapted_weights, jump)) for jump in filt.jumps]
 
-    def label_for(v: Vector, idx: int | None) -> str:
+    def label_for(pos: int, v: Vector, idx: int | None) -> str:
         if idx is not None:
             return L.basis_labels[idx]
         nz = [(k, c) for k, c in enumerate(v) if c != 0]
         if len(nz) == 1 and nz[0][1] == 1:
             return L.basis_labels[nz[0][0]]
-        return f"v{len(adapted) + 1}"
+        return f"v{pos + 2}"
 
-    for jump, space in zip(filt.jumps, filt.spaces):
-        start = len(adapted)
-        own = [(v, idx) for v, w, idx in
-               zip(basis.vectors, basis.weights, basis.indices) if w == jump]
-        for v, idx in own + [(row, None) for row in space.rows]:
-            if not current.contains(v):
-                adapted.append(v)
-                adapted_weights.append(jump)
-                adapted_labels.append(label_for(v, idx))
-                current = current + span([v], dim)
-        layers.append((jump, start, len(adapted)))
+    adapted_labels = [label_for(pos, v, idx)
+                      for pos, (v, _, idx) in enumerate(chosen)]
 
-    if len(adapted) != dim:
-        raise AssertionError("adapted basis does not span the algebra")
-
-    structure: dict[tuple[int, int], list[Fraction]] = {}
+    pairs = []
     for i in range(dim):
         for j in range(i + 1, dim):
             b = L.bracket(adapted[i], adapted[j])
-            if is_zero(b):
+            if not is_zero(b):
+                pairs.append((i, j, b))
+    solved = solve_coordinates(adapted, [b for _, _, b in pairs])
+
+    structure: dict[tuple[int, int], list[Fraction]] = {}
+    for (i, j, _), coords in zip(pairs, solved):
+        target = adapted_weights[i] + adapted_weights[j]
+        truncated = [Fraction(0)] * dim
+        for k, c in enumerate(coords):
+            if c == 0:
                 continue
-            coords = solve_coordinates(adapted, b)
-            target = adapted_weights[i] + adapted_weights[j]
-            truncated = [Fraction(0)] * dim
-            for k, c in enumerate(coords):
-                if c == 0:
-                    continue
-                if adapted_weights[k] > target:
-                    raise AssertionError(
-                        "filtration law violated: bracket has a component of "
-                        "weight above the additive weight")
-                if adapted_weights[k] == target:
-                    truncated[k] = c
-            if any(c != 0 for c in truncated):
-                structure[(i, j)] = truncated
+            if adapted_weights[k] > target:
+                raise AssertionError(
+                    "filtration law violated: bracket has a component of "
+                    "weight above the additive weight")
+            if adapted_weights[k] == target:
+                truncated[k] = c
+        if any(c != 0 for c in truncated):
+            structure[(i, j)] = truncated
 
     base = LieAlgebra(dim, structure, adapted_labels,
                       name=(L.name + "*") if L.name else "contraction")

@@ -229,7 +229,7 @@ class TestSolveCoordinates:
         while span(rows, 3).dim < 3:
             rows = [rand_vector(rng, 3) for _ in range(3)]
         v = rand_vector(rng, 3)
-        x = solve_coordinates(rows, v)
+        [x] = solve_coordinates(rows, [v])
         recon = zero_vector(3)
         for c, r in zip(x, rows):
             recon = vec_add(recon, vec_scale(c, r))
@@ -238,7 +238,10 @@ class TestSolveCoordinates:
     def test_outside_span_raises(self):
         rows = [basis_vector(0, 3)]
         with pytest.raises(ValueError):
-            solve_coordinates(rows, basis_vector(1, 3))
+            solve_coordinates(rows, [basis_vector(1, 3)])
+        # one vector outside the span fails the whole call
+        with pytest.raises(ValueError):
+            solve_coordinates(rows, [basis_vector(0, 3), basis_vector(1, 3)])
 
 
 class TestSubspaceBasics:

@@ -71,8 +71,10 @@ def _change_of_basis(L, rnd):
     rows = [tuple(diag[i] * sum((low[i][t] * up[t][j] for t in range(d)),
                                 Fraction(0)) for j in range(d))
             for i in range(d)]
-    structure = {(a, b): solve_coordinates(rows, L.bracket(rows[a], rows[b]))
-                 for a in range(d) for b in range(a + 1, d)}
+    pairs = [(a, b) for a in range(d) for b in range(a + 1, d)]
+    coords = solve_coordinates(
+        rows, [L.bracket(rows[a], rows[b]) for a, b in pairs])
+    structure = dict(zip(pairs, coords))
     return LieAlgebra(d, structure, name=L.name + "~"), rows
 
 
@@ -181,9 +183,9 @@ class TestContractAgainstDensePath:
     @staticmethod
     def _in_basis(rows, indices):
         d = len(rows)
-        return [solve_coordinates(rows, tuple(Fraction(int(k == g))
-                                              for k in range(d)))
-                for g in indices]
+        return solve_coordinates(rows, [tuple(Fraction(int(k == g))
+                                              for k in range(d))
+                                        for g in indices])
 
     @staticmethod
     def _contract(L, elements, weights):
