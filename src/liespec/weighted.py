@@ -393,7 +393,7 @@ def contract(L: LieAlgebra, basis: WeightedBasis) -> GradedLieAlgebra:
         nz = [(k, c) for k, c in enumerate(v) if c != 0]
         if len(nz) == 1 and nz[0][1] == 1:
             return L.basis_labels[nz[0][0]]
-        return f"v{pos + 2}"
+        return f"v{pos + 1}"
 
     adapted_labels = [label_for(pos, v, idx)
                       for pos, (v, _, idx) in enumerate(chosen)]

@@ -258,6 +258,17 @@ class TestDispatch:
                                        "filtration_preserved": True}, name
             assert len(runs) == 3, name
 
+    def test_synthetic_adapted_labels_number_from_one(self, tmp_path):
+        # the third adapted vector, e3 + e4, is no basis vector: label v3
+        doc = {"name": "lab", "dim": 4, "brackets": [
+            {"i": 1, "j": 2, "c": ["0", "0", "1", "1"]},
+            {"i": 1, "j": 3, "c": ["0", "0", "0", "1"]}]}
+        path = tmp_path / "lab.json"
+        path.write_text(json.dumps(doc))
+        report = run(["contract", str(path), "--weights", "1,1",
+                      "--indices", "1,2"])
+        assert report.notes["adapted_labels"] == ["e1", "e2", "v3", "e3"]
+
     def test_dimension_heisenberg2(self):
         report = run(["dimension", "heisenberg2"])
         assert report.notes["Q_star"] == "6"
