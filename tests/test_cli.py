@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from liespec import weighted
+from liespec import cli, weighted
 from liespec.catalog import catalog_names, resolve
 from liespec.cli import (
     CLIError,
@@ -268,6 +268,22 @@ class TestDispatch:
         report = run(["contract", str(path), "--weights", "1,1",
                       "--indices", "1,2"])
         assert report.notes["adapted_labels"] == ["e1", "e2", "v3", "e3"]
+
+    def test_contraction_validated_once(self, monkeypatch):
+        # contract runs check_grading; the report reuses its verdict
+        calls = []
+        original = weighted.check_grading
+
+        def counting(graded):
+            calls.append(graded)
+            return original(graded)
+        monkeypatch.setattr(weighted, "check_grading", counting)
+        monkeypatch.setattr(cli, "check_grading", counting, raising=False)
+        for command in ("contract", "dimension"):
+            calls.clear()
+            report = run([command, "heisenberg3"])
+            assert report.verdicts == {"grading": True}, command
+            assert len(calls) == 1, command
 
     def test_dimension_heisenberg2(self):
         report = run(["dimension", "heisenberg2"])
