@@ -16,6 +16,15 @@ library computed it before it pruned its transforms: the coefficient box is
 written into a zeroed G^n grid, G = oversample * (2K+1), and ``np.fft.ifftn``
 transforms every line of it.  ``liespec.spectral.torus_embedding_witness``
 must give the same ratios bit for bit.
+
+``solve_coordinates`` solves for one vector with one elimination, and
+``contract`` is the graded contraction as the library computed it with a
+running subspace: a candidate joins the adapted basis when the span of the
+vectors kept so far does not contain it, and each nonzero bracket gets its
+own ``solve_coordinates``.  Both bodies are kept verbatim, except that
+``contract`` builds no labels, skips the post-hoc validator and returns the
+structure table, adapted rows, weights and layers.
+``liespec.weighted.contract`` must give the same four bit for bit.
 """
 
 from __future__ import annotations
@@ -28,10 +37,20 @@ import numpy as np
 from liespec.lie_core import (
     JacobiReport,
     LieAlgebra,
+    Subspace,
     Vector,
     basis_vector,
     is_zero,
+    span,
     vec_add,
+    vec_scale,
+    zero_vector,
+)
+from liespec.weighted import (
+    WeightedBasis,
+    _is_reduced,
+    _reduce_basis,
+    build_filtration,
 )
 
 
@@ -120,3 +139,75 @@ def _torus_ratio(coeffs: np.ndarray, p: float, q: float, gamma: float,
     if den == 0.0:
         return 0.0
     return num / den
+
+
+def solve_coordinates(rows, v: Vector) -> Vector:
+    """Solve sum_k x_k * rows[k] = v exactly; raises if v is outside."""
+    dim = len(v)
+    # Solve rows^T x = v by eliminating the augmented d x (k+1) system.
+    mat = [[rows[k][i] for k in range(len(rows))] + [v[i]] for i in range(dim)]
+    reduced = _rref(mat)
+    x = [Fraction(0)] * len(rows)
+    for row in reduced:
+        col = next(i for i, a in enumerate(row) if a != 0)
+        if col == len(rows):
+            raise ValueError("vector not in the span of the given rows")
+        x[col] = row[len(rows)]
+    recon = zero_vector(dim)
+    for xk, r in zip(x, rows):
+        if xk != 0:
+            recon = vec_add(recon, vec_scale(xk, r))
+    if recon != tuple(v):
+        raise ValueError("vector not in the span of the given rows")
+    return tuple(x)
+
+
+def contract(L: LieAlgebra, basis: WeightedBasis):
+    """(structure table, adapted rows, weights, layers) of the contraction."""
+    filt = build_filtration(L, basis)
+    if not _is_reduced(L, basis, filt).reduced:
+        basis = _reduce_basis(L, basis, filt)
+    dim = L.dim
+
+    adapted: list[Vector] = []
+    adapted_weights: list[Fraction] = []
+    layers: list[tuple[Fraction, int, int]] = []
+    current = Subspace.zero(dim)
+
+    for jump, space in zip(filt.jumps, filt.spaces):
+        start = len(adapted)
+        own = [(v, idx) for v, w, idx in
+               zip(basis.vectors, basis.weights, basis.indices) if w == jump]
+        for v, idx in own + [(row, None) for row in space.rows]:
+            if not current.contains(v):
+                adapted.append(v)
+                adapted_weights.append(jump)
+                current = current + span([v], dim)
+        layers.append((jump, start, len(adapted)))
+
+    if len(adapted) != dim:
+        raise AssertionError("adapted basis does not span the algebra")
+
+    structure: dict[tuple[int, int], list[Fraction]] = {}
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            b = L.bracket(adapted[i], adapted[j])
+            if is_zero(b):
+                continue
+            coords = solve_coordinates(adapted, b)
+            target = adapted_weights[i] + adapted_weights[j]
+            truncated = [Fraction(0)] * dim
+            for k, c in enumerate(coords):
+                if c == 0:
+                    continue
+                if adapted_weights[k] > target:
+                    raise AssertionError(
+                        "filtration law violated: bracket has a component of "
+                        "weight above the additive weight")
+                if adapted_weights[k] == target:
+                    truncated[k] = c
+            if any(c != 0 for c in truncated):
+                structure[(i, j)] = truncated
+
+    return (LieAlgebra(dim, structure).structure_table(), tuple(adapted),
+            tuple(adapted_weights), tuple(layers))

@@ -6,15 +6,17 @@ Jacobi verdict, failing triple and residual, and the same contractions.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import dense_oracle
-from liespec import lie_core
+from liespec import lie_core, weighted
 from liespec.catalog import resolve
-from liespec.lie_core import LieAlgebra, _rref, solve_coordinates, span
+from liespec.lie_core import (
+    LieAlgebra, Subspace, _rref, solve_coordinates, span)
 from liespec.weighted import WeightedBasis, contract
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
@@ -172,48 +174,115 @@ class TestRref:
         assert all(type(a) is Fraction for row in out for a in row)
 
 
+def _in_basis(rows, indices):
+    d = len(rows)
+    return solve_coordinates(rows, [tuple(Fraction(int(k == g))
+                                          for k in range(d))
+                                    for g in indices])
+
+
+def _catalog_jobs():
+    jobs = []
+    for name in CATALOG:
+        entry = resolve(name)
+        jobs.append((entry.algebra, list(entry.generators),
+                     list(entry.generator_weights)))
+    return jobs
+
+
+def _seeded_jobs():
+    # the catalog generators in a random basis and, where it is not a
+    # generator, the last basis vector with a too-large weight, so that
+    # reduction runs too
+    rnd = random.Random(2024)
+    jobs = []
+    for name in DENSE_BASES:
+        entry = resolve(name)
+        L, rows = _change_of_basis(entry.algebra, rnd)
+        d = L.dim
+        indices = list(entry.generators)
+        weights = list(entry.generator_weights)
+        jobs.append((L, _in_basis(rows, indices), weights))
+        if d - 1 not in indices:
+            jobs.append((L, _in_basis(rows, indices + [d - 1]),
+                         weights + [Fraction(4)]))
+    return jobs
+
+
+def _reduce_jobs():
+    # canonical bases with over-weighted and redundant extra elements, which
+    # reduction lowers to their first jump or drops
+    jobs = []
+    for name in DENSE_BASES + ["heisenberg4", "heisenberg6"]:
+        entry = resolve(name)
+        L, d = entry.algebra, entry.algebra.dim
+        indices = list(entry.generators)
+        weights = list(entry.generator_weights)
+        if d - 1 not in indices:
+            for w in (3, 5):
+                jobs.append((L, indices + [d - 1], weights + [Fraction(w)]))
+    engel = resolve("engel4").algebra
+    jobs.append((engel, [0, 1, 3, (0, 0, 1, 1)],
+                 [1, 1, Fraction(3), Fraction(4)]))
+    h3 = resolve("heisenberg3").algebra
+    jobs.append((h3, list(range(7)), [1] * 6 + [3]))
+    return jobs
+
+
+def _contract(L, elements, weights):
+    G = contract(L, WeightedBasis(L, elements, weights))
+    return G.base.structure_table(), G.adapted_rows, G.weights, G.layers
+
+
 class TestContractAgainstDensePath:
     def _run(self, jobs, dense_path):
-        fast = [self._contract(*job) for job in jobs]
+        fast = [_contract(*job) for job in jobs]
         dense_path()
-        dense = [self._contract(*job) for job in jobs]
+        dense = [_contract(*job) for job in jobs]
         for job, a, b in zip(jobs, fast, dense):
             assert a == b, job[0].name
 
-    @staticmethod
-    def _in_basis(rows, indices):
-        d = len(rows)
-        return solve_coordinates(rows, [tuple(Fraction(int(k == g))
-                                              for k in range(d))
-                                        for g in indices])
-
-    @staticmethod
-    def _contract(L, elements, weights):
-        G = contract(L, WeightedBasis(L, elements, weights))
-        return G.base.structure_table(), G.adapted_rows, G.weights
-
     def test_catalog_bases(self, dense_path):
-        jobs = []
-        for name in CATALOG:
-            entry = resolve(name)
-            jobs.append((entry.algebra, list(entry.generators),
-                         list(entry.generator_weights)))
-        self._run(jobs, dense_path)
+        self._run(_catalog_jobs(), dense_path)
 
     def test_seeded_dense_bases(self, dense_path):
-        # the catalog generators in a random basis and, where it is not a
-        # generator, the last basis vector with a too-large weight, so that
-        # reduction runs too
-        rnd = random.Random(2024)
-        jobs = []
-        for name in DENSE_BASES:
-            entry = resolve(name)
-            L, rows = _change_of_basis(entry.algebra, rnd)
-            d = L.dim
-            indices = list(entry.generators)
-            weights = list(entry.generator_weights)
-            jobs.append((L, self._in_basis(rows, indices), weights))
-            if d - 1 not in indices:
-                jobs.append((L, self._in_basis(rows, indices + [d - 1]),
-                             weights + [Fraction(4)]))
-        self._run(jobs, dense_path)
+        self._run(_seeded_jobs(), dense_path)
+
+
+class TestContractAgainstRunningSubspace:
+    """The two eliminations against the running-subspace loop and the
+    per-bracket solves of ``dense_oracle.contract``."""
+
+    @pytest.mark.parametrize("jobs", [_catalog_jobs, _seeded_jobs,
+                                      _reduce_jobs])
+    def test_same_contraction(self, jobs):
+        for L, elements, weights in jobs():
+            basis = WeightedBasis(L, elements, weights)
+            assert _contract(L, elements, weights) == \
+                dense_oracle.contract(L, basis), L.name
+
+    @pytest.mark.parametrize("name", ["abelian3", "su2", "engel4",
+                                      "heisenberg32"])
+    def test_one_solve_and_no_running_subspace(self, name, monkeypatch):
+        entry = resolve(name)
+        L = entry.algebra
+        basis = WeightedBasis(L, list(entry.generators),
+                              list(entry.generator_weights))
+        # the filtration is built beforehand, so that every Subspace
+        # operation counted belongs to the adapted basis and the brackets
+        filt = weighted.build_filtration(L, basis)
+        monkeypatch.setattr(weighted, "build_filtration", lambda *_: filt)
+        calls = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+        monkeypatch.setattr(weighted, "solve_coordinates", counting(
+            "solve_coordinates", weighted.solve_coordinates))
+        for method in ("contains", "__add__"):
+            monkeypatch.setattr(Subspace, method, counting(
+                method, getattr(Subspace, method)))
+        contract(L, basis)
+        assert calls == {"solve_coordinates": 1}
