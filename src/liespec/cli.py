@@ -358,8 +358,7 @@ def _cmd_contract(args, report) -> None:
         [[k + 1, graded.base.basis_labels[k], str(graded.weights[k]),
           _fmt_vector(row)]
          for k, row in enumerate(graded.adapted_rows)]))
-    # contract ran check_grading and raises unless it passed
-    report.verdicts["grading"] = True
+    report.verdicts["grading"] = True  # contract raises if grading fails
 
 
 def _filtration_or_error(spec: AlgebraSpec, basis: WeightedBasis):
@@ -407,8 +406,7 @@ def _cmd_dimension(args, report) -> None:
     report.tables.append(Table(
         "layers", ["weight", "dim"],
         [[str(w), d] for w, d in graded.layer_dims()]))
-    # contract ran check_grading and raises unless it passed
-    report.verdicts["grading"] = True
+    report.verdicts["grading"] = True  # contract raises if grading fails
 
 
 def _parse_form(args) -> Form:

@@ -226,12 +226,9 @@ def span(vectors: Sequence[Vector], ambient_dim: int | None = None) -> Subspace:
 
 def solve_coordinates(rows: Sequence[Vector],
                       vectors: Sequence[Vector]) -> list[Vector]:
-    """Solve sum_k x_k * rows[k] = v exactly for every v in ``vectors``.
-
-    One elimination of the augmented d x (k + m) system [rows^T | v_1 ... v_m]
-    serves all m vectors; the j-th solution comes back j-th.  Raises
-    ``ValueError`` if any vector lies outside the span of the rows.
-    """
+    """Solve sum_k x_k * rows[k] = v exactly for each v in ``vectors``, in
+    order, by one elimination of the system [rows^T | v_1 ... v_m]; raises
+    ``ValueError`` if any v lies outside the span of the rows."""
     if not vectors:
         return []
     k = len(rows)

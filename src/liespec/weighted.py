@@ -366,10 +366,8 @@ def contract(L: LieAlgebra, basis: WeightedBasis) -> GradedLieAlgebra:
         basis = _reduce_basis(L, basis, filt)
     dim = L.dim
 
-    # Candidates in order of preference, each with its jump and basis index.
     # A candidate joins the adapted basis iff it lies outside the span of the
-    # candidates before it, i.e. iff its column of the candidate matrix is a
-    # pivot column of that matrix's echelon form.
+    # candidates before it: iff it is a pivot column of the candidate matrix.
     candidates: list[tuple[Vector, Fraction, int | None]] = []
     for jump, space in zip(filt.jumps, filt.spaces):
         candidates += [(v, jump, idx) for v, w, idx in
@@ -386,17 +384,13 @@ def contract(L: LieAlgebra, basis: WeightedBasis) -> GradedLieAlgebra:
     adapted_weights = [w for _, w, _ in chosen]
     layers = [(jump, bisect_left(adapted_weights, jump),
                bisect_right(adapted_weights, jump)) for jump in filt.jumps]
-
-    def label_for(pos: int, v: Vector, idx: int | None) -> str:
-        if idx is not None:
-            return L.basis_labels[idx]
-        nz = [(k, c) for k, c in enumerate(v) if c != 0]
-        if len(nz) == 1 and nz[0][1] == 1:
-            return L.basis_labels[nz[0][0]]
-        return f"v{pos + 1}"
-
-    adapted_labels = [label_for(pos, v, idx)
-                      for pos, (v, _, idx) in enumerate(chosen)]
+    adapted_labels = []
+    for pos, (v, _, idx) in enumerate(chosen):
+        nz = [k for k, c in enumerate(v) if c]
+        if idx is None and len(nz) == 1 and v[nz[0]] == 1:
+            idx = nz[0]
+        adapted_labels.append(
+            f"v{pos + 1}" if idx is None else L.basis_labels[idx])
 
     pairs = []
     for i in range(dim):
@@ -404,22 +398,17 @@ def contract(L: LieAlgebra, basis: WeightedBasis) -> GradedLieAlgebra:
             b = L.bracket(adapted[i], adapted[j])
             if not is_zero(b):
                 pairs.append((i, j, b))
-    solved = solve_coordinates(adapted, [b for _, _, b in pairs])
-
     structure: dict[tuple[int, int], list[Fraction]] = {}
-    for (i, j, _), coords in zip(pairs, solved):
+    for (i, j, _), coords in zip(pairs, solve_coordinates(
+            adapted, [b for _, _, b in pairs])):
         target = adapted_weights[i] + adapted_weights[j]
-        truncated = [Fraction(0)] * dim
-        for k, c in enumerate(coords):
-            if c == 0:
-                continue
-            if adapted_weights[k] > target:
-                raise AssertionError(
-                    "filtration law violated: bracket has a component of "
-                    "weight above the additive weight")
-            if adapted_weights[k] == target:
-                truncated[k] = c
-        if any(c != 0 for c in truncated):
+        if any(c and w > target for c, w in zip(coords, adapted_weights)):
+            raise AssertionError(
+                "filtration law violated: bracket has a component of "
+                "weight above the additive weight")
+        truncated = [c if w == target else Fraction(0)
+                     for c, w in zip(coords, adapted_weights)]
+        if any(truncated):
             structure[(i, j)] = truncated
 
     base = LieAlgebra(dim, structure, adapted_labels,
