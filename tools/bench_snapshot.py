@@ -5,11 +5,14 @@
         --workloads cli-batch --seeds 1,2 --pairs 5
 
 For every pair, workload and seed this runs
-``python3 perfbench/run.py --workload W --seed S --seconds 30 --trace 0`` in
-each checkout, alternating which checkout goes first, and keeps the final
-JSON line of each run with the checkout's git sha (and whether its tracked
-files differ from it, and a digest of its ``src/``), the Python, numpy and
-scipy versions and ``nproc``.  Rows go to ``BENCH_<label>.json`` at the root
+``python3 -B perfbench/run.py --workload W --seed S --seconds 30 --trace 0``
+in each checkout, alternating which checkout goes first, with
+``PYTHONDONTWRITEBYTECODE=1`` so that its child processes write no byte code
+either, and keeps the final JSON line of each run with the checkout's git
+sha (and whether its tracked files differ from it, and a digest of its
+``src/``), whether its ``src/`` held a ``__pycache__`` directory when the run
+started (stale byte code changes import times), the Python, numpy and scipy
+versions and ``nproc``.  Rows go to ``BENCH_<label>.json`` at the root
 of this repository; rows already in that file are kept, so several
 invocations add up.  A summary gives, per workload, checkout and metric, the
 median, the quartiles and the run count, and per checkout beyond the first
@@ -54,9 +57,10 @@ def checkout_info(path: Path) -> dict:
 
 def run_once(path: Path, workload: str, seed: int) -> dict:
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload,
+        [sys.executable, "-B", "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"],
-        cwd=path, capture_output=True, text=True)
+        cwd=path, capture_output=True, text=True,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
     if proc.returncode != 0:
         raise SystemExit(f"{path}: {workload} seed {seed} failed:\n{proc.stderr}")
     return json.loads(proc.stdout.strip().splitlines()[-1])
@@ -133,10 +137,12 @@ def main() -> int:
             for seed in (int(s) for s in args.seeds.split(",")):
                 order = checkouts if pair % 2 else checkouts[::-1]
                 for name, path in order:
+                    pycache = any((path / "src").rglob("__pycache__"))
                     result = run_once(path, workload, seed)
                     doc["rows"].append({"checkout": name, "pair": pair,
                                         "workload": workload, "seed": seed,
-                                        **infos[name], "result": result})
+                                        **infos[name], "src_pycache": pycache,
+                                        "result": result})
                     m = result["metrics"]
                     print(f"pair {pair} {workload} seed {seed} {name}: "
                           + " ".join(f"{k}={v['value']:.4g}" for k, v in m.items()),
