@@ -399,6 +399,7 @@ def contract(L: LieAlgebra, basis: WeightedBasis) -> GradedLieAlgebra:
             if not is_zero(b):
                 pairs.append((i, j, b))
     structure: dict[tuple[int, int], list[Fraction]] = {}
+    zero = Fraction(0)          # one object for every truncated entry
     for (i, j, _), coords in zip(pairs, solve_coordinates(
             adapted, [b for _, _, b in pairs])):
         target = adapted_weights[i] + adapted_weights[j]
@@ -406,7 +407,7 @@ def contract(L: LieAlgebra, basis: WeightedBasis) -> GradedLieAlgebra:
             raise AssertionError(
                 "filtration law violated: bracket has a component of "
                 "weight above the additive weight")
-        truncated = [c if w == target else Fraction(0)
+        truncated = [c if c and w == target else zero
                      for c, w in zip(coords, adapted_weights)]
         if any(truncated):
             structure[(i, j)] = truncated
