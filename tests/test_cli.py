@@ -278,6 +278,7 @@ class TestDispatch:
             calls.append(graded)
             return original(graded)
         monkeypatch.setattr(weighted, "check_grading", counting)
+        # a name bound in cli would bypass the patch above, so patch it too
         monkeypatch.setattr(cli, "check_grading", counting, raising=False)
         for command in ("contract", "dimension"):
             calls.clear()
