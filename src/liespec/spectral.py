@@ -90,7 +90,12 @@ class _Torus(SpectralBackend):
     def count(self, s: float) -> int:
         # integer |xi|^2 < radius2 iff |xi|^2 <= ceil(radius2) - 1
         radius2 = s / (4.0 * math.pi ** 2)
-        return _ball_count(self.n, math.ceil(radius2) - 1) - 1
+        R = math.ceil(radius2) - 1
+        if self.n in (2, 3) and R >= _INT64_LIMIT:
+            raise ValueError(
+                f"torus{self.n} counts need s/(4 pi^2) <= 2^62 "
+                f"(s <= {4.0 * math.pi ** 2 * _INT64_LIMIT:.6g}), got s={s!r}")
+        return _ball_count(self.n, R) - 1
 
     def heat_trace(self, t: float) -> float:
         a = 8.0 * math.pi ** 2 * t      # theta(a) = sum_{k in Z} exp(-a k^2)
@@ -197,17 +202,57 @@ def _isqrt(a: np.ndarray) -> np.ndarray:
     return r
 
 
+_INT64_LIMIT = 2 ** 62   # n = 2, 3 count in int64 through _isqrt
+_BLOCK = 1 << 16         # most array entries one numpy pass holds
+
+
+def _divisor_sum(R: int) -> int:
+    """S(R) = sum_{d <= R} d * floor(R/d), in O(sqrt R) blocks of d that
+    share q = floor(R/d)."""
+    total, d = 0, 1
+    while d <= R:
+        q = R // d
+        e = R // q                  # the last d with floor(R/d) = q
+        total += q * (d + e) * (e - d + 1) // 2
+        d = e + 1
+    return total
+
+
 def _ball_count(n: int, R: int) -> int:
-    """#{xi in Z^n : |xi|^2 <= R} for an integer R >= 0, origin included."""
+    """#{xi in Z^n : |xi|^2 <= R} for an integer R >= 0, origin included.
+    n = 2, 3 need R < 2^62; their arrays never exceed _BLOCK entries."""
     if n == 1:
         return 2 * math.isqrt(R) + 1
-    k = np.arange(math.isqrt(R) + 1, dtype=np.int64)
-    rem = R - k * k                 # what the last n-1 axes may still use
+    if n == 4:      # Jacobi: r_4(m) = 8 sigma(m) - 32 sigma(m/4), summed
+        return 1 + 8 * _divisor_sum(R) - 32 * _divisor_sum(R // 4)
+    kmax = math.isqrt(R)
+    if n > 4:
+        return sum(_ball_count(n - 1, R - k * k) * (2 if k else 1)
+                   for k in range(kmax + 1))
+    # n = 2, 3: lines along the last axis, L = 2 isqrt(R - k^2 [- j^2]) + 1,
+    # summed over k >= 0 (k, j >= 0 for n = 3) as half.  Mirroring counts
+    # the axes twice: N_2 = 2 half - L(0), N_3 = 4 half - 2 N_2 - L(0).
+    axis = 2 * kmax + 1
+    half = 0
     if n == 2:
-        lines = 2 * _isqrt(rem) + 1
-    else:
-        lines = np.array([_ball_count(n - 1, r) for r in rem.tolist()])
-    return 2 * int(lines.sum()) - int(lines[0])     # k and -k, once for 0
+        for k0 in range(0, kmax + 1, _BLOCK):
+            k = np.arange(k0, min(k0 + _BLOCK, kmax + 1), dtype=np.int64)
+            half += 2 * int(_isqrt(R - k * k).sum()) + len(k)
+        return 2 * half - axis
+    # rectangles of rows k0.. as wide as row k0, the widest, in the quarter disc
+    k0 = 0
+    while k0 <= kmax:
+        width = math.isqrt(R - k0 * k0) + 1
+        k = np.arange(k0, min(k0 + max(_BLOCK // width, 1), kmax + 1),
+                      dtype=np.int64)
+        rows = (R - k * k)[:, None]
+        for j0 in range(0, width, _BLOCK):
+            j = np.arange(j0, min(j0 + _BLOCK, width), dtype=np.int64)
+            rem = rows - j * j
+            half += int(np.count_nonzero(rem >= 0))
+            half += 2 * int(_isqrt(np.maximum(rem, 0, out=rem)).sum())
+        k0 += len(k)
+    return 4 * half - 2 * _ball_count(2, R) - axis
 
 
 def h1_counting_constant() -> float:

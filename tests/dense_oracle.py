@@ -25,6 +25,11 @@ own ``solve_coordinates``.  Both bodies are kept verbatim, except that
 ``contract`` builds no labels, skips the post-hoc validator and returns the
 structure table, adapted rows, weights and layers.
 ``liespec.weighted.contract`` must give the same four bit for bit.
+
+``_ball_count`` is the torus lattice count as the library computed it
+before it summed divisors: one ``_isqrt`` pass per lattice line for n = 2,
+and a Python recursion over the first axis for n >= 3.  Its body is kept
+verbatim; ``liespec.spectral._ball_count`` must give the same integers.
 """
 
 from __future__ import annotations
@@ -46,6 +51,7 @@ from liespec.lie_core import (
     vec_scale,
     zero_vector,
 )
+from liespec.spectral import _isqrt
 from liespec.weighted import (
     WeightedBasis,
     _is_reduced,
@@ -211,3 +217,16 @@ def contract(L: LieAlgebra, basis: WeightedBasis):
 
     return (LieAlgebra(dim, structure).structure_table(), tuple(adapted),
             tuple(adapted_weights), tuple(layers))
+
+
+def _ball_count(n: int, R: int) -> int:
+    """#{xi in Z^n : |xi|^2 <= R} for an integer R >= 0, origin included."""
+    if n == 1:
+        return 2 * math.isqrt(R) + 1
+    k = np.arange(math.isqrt(R) + 1, dtype=np.int64)
+    rem = R - k * k                 # what the last n-1 axes may still use
+    if n == 2:
+        lines = 2 * _isqrt(rem) + 1
+    else:
+        lines = np.array([_ball_count(n - 1, r) for r in rem.tolist()])
+    return 2 * int(lines.sum()) - int(lines[0])     # k and -k, once for 0

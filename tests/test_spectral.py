@@ -2,6 +2,8 @@ import bisect
 import itertools
 import math
 import random
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -106,7 +108,7 @@ class TestCountingFunction:
         assert counting_function(TORUS1, 40.0) == 2
 
     def test_torus2_against_enumeration(self):
-        # torus1 and torus3 too: torus3 runs the recursion over dimensions
+        # torus1 and torus3 too: torus3 sums z-lines over a quarter disc
         for n in (1, 2, 3):
             backend = make_backend(f"torus{n}")
             rng = random.Random(17)
@@ -383,6 +385,108 @@ class TestDistributionConsistency:
         mids = np.exp(-2 * t * (lams[:-1] + lams[1:]) / 2)
         oracle = float((mids * np.diff(counts)).sum())
         assert abs(heat_trace_l2(HEIS, t) - oracle) / oracle < 1e-6
+
+
+# Largest R whose box of side 2 isqrt(R) + 1 stays near 1e5 entries
+ENUM_MAX_R = {1: 10_000, 2: 2_500, 3: 400, 4: 81, 5: 25}
+
+
+def enumerated_ball_count(n, R):
+    """#{xi in Z^n : |xi|^2 <= R} by summing squares over the whole box."""
+    r = math.isqrt(R)
+    squares = np.meshgrid(*[np.arange(-r, r + 1) ** 2] * n, sparse=True)
+    return int(np.count_nonzero(sum(squares) <= R))
+
+
+def hyperbola_divisor_sum(R):
+    """S(R) = sum_m T(floor(R/m)), T(q) = q(q+1)/2, split at u = isqrt(R)
+    by Dirichlet's hyperbola method."""
+    u = math.isqrt(R)
+    return (sum(d * (R // d) + (R // d) * (R // d + 1) // 2
+                for d in range(1, u + 1)) - u * u * (u + 1) // 2)
+
+
+class TestTorusLatticeCounts:
+    """``_ball_count`` against enumeration, the old recursion kept in
+    ``dense_oracle`` and Jacobi's four-square sum in an independent form."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.sampled_from(sorted(ENUM_MAX_R)).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(0, ENUM_MAX_R[n]))))
+    @example((1, 0))
+    @example((2, 0))
+    @example((3, 0))
+    @example((4, 0))
+    @example((5, 0))
+    @example((4, 4))
+    @example((5, 25))
+    def test_against_enumeration(self, case):
+        n, R = case
+        assert spectral._ball_count(n, R) == enumerated_ball_count(n, R)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.sampled_from([3, 4]), st.integers(0, 10_000))
+    @example(3, 10_000)
+    @example(4, 10_000)
+    @example(3, 300_000)
+    def test_against_dense_recursion(self, n, R):
+        assert spectral._ball_count(n, R) == dense_oracle._ball_count(n, R)
+
+    @pytest.mark.parametrize("block", [1, 2, 7, 60])
+    def test_any_block_size_gives_the_same_count(self, monkeypatch, block):
+        # rows and, below the disc's width, columns split across blocks;
+        # no pass hands _isqrt more than a block
+        sizes = []
+        isqrt = spectral._isqrt
+
+        def spy(a):
+            sizes.append(a.size)
+            return isqrt(a)
+
+        monkeypatch.setattr(spectral, "_BLOCK", block)
+        monkeypatch.setattr(spectral, "_isqrt", spy)
+        for n in (2, 3):
+            for R in (0, 1, 2, 3, 4, 24, 25, 26, 99, 400, 1237):
+                assert spectral._ball_count(n, R) == \
+                    dense_oracle._ball_count(n, R), (n, R, block)
+        assert max(sizes) <= block
+
+    def test_torus4_exact_int_at_1e12(self):
+        s = 1e12
+        R = math.ceil(s / (4 * math.pi ** 2)) - 1
+        count = make_backend("torus4").count(s)
+        assert type(count) is int
+        jacobi = 1 + 8 * hyperbola_divisor_sum(R) - 32 * hyperbola_divisor_sum(R // 4)
+        assert count + 1 == jacobi
+        # the lattice count of the 4-ball: volume (pi^2/2) R^2 + O(R log R)
+        assert abs(jacobi - math.pi ** 2 / 2 * R * R) < 2 * R * math.log(R)
+
+    def test_torus3_memory_bounded_at_1e8(self):
+        R = math.ceil(1e8 / (4 * math.pi ** 2)) - 1
+        torus3 = make_backend("torus3")
+        tracemalloc.start()
+        try:
+            count = torus3.count(1e8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
+        assert count == dense_oracle._ball_count(3, R) - 1
+
+    def test_int64_limit_raises_before_any_isqrt(self, monkeypatch):
+        def unreachable(a):
+            raise AssertionError("_isqrt called past the int64 limit")
+        monkeypatch.setattr(spectral, "_isqrt", unreachable)
+        s = 4.0 * math.pi ** 2 * 2 ** 62       # the first s whose R is 2^62
+        while math.ceil(s / (4.0 * math.pi ** 2)) - 1 < 2 ** 62:
+            s = math.nextafter(s, math.inf)
+        for n in (2, 3):
+            with pytest.raises(ValueError, match=re.escape(f"s={s!r}")) as err:
+                counting_function(make_backend(f"torus{n}"), s)
+            assert "2^62" in str(err.value)
+        # torus1 and torus4 count in Python ints: no limit
+        R = math.ceil(s / (4.0 * math.pi ** 2)) - 1
+        assert TORUS1.count(s) == 2 * math.isqrt(R)
 
 
 class TestPowerFit:
