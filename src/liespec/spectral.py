@@ -232,14 +232,15 @@ def _ball_count(n: int, R: int) -> int:
     # n = 2, 3: lines along the last axis, L = 2 isqrt(R - k^2 [- j^2]) + 1,
     # summed over k >= 0 (k, j >= 0 for n = 3) as half.  Mirroring counts
     # the axes twice: N_2 = 2 half - L(0), N_3 = 4 half - 2 N_2 - L(0).
-    axis = 2 * kmax + 1
+    line0 = 2 * kmax + 1
     half = 0
     if n == 2:
         for k0 in range(0, kmax + 1, _BLOCK):
             k = np.arange(k0, min(k0 + _BLOCK, kmax + 1), dtype=np.int64)
             half += 2 * int(_isqrt(R - k * k).sum()) + len(k)
-        return 2 * half - axis
-    # rectangles of rows k0.. as wide as row k0, the widest, in the quarter disc
+        return 2 * half - line0
+    # rectangles of rows k0.. as wide as row k0, the widest; cells outside
+    # the quarter disc have rem < 0 and add nothing once rem is clipped to 0
     k0 = 0
     while k0 <= kmax:
         width = math.isqrt(R - k0 * k0) + 1
@@ -252,7 +253,7 @@ def _ball_count(n: int, R: int) -> int:
             half += int(np.count_nonzero(rem >= 0))
             half += 2 * int(_isqrt(np.maximum(rem, 0, out=rem)).sum())
         k0 += len(k)
-    return 4 * half - 2 * _ball_count(2, R) - axis
+    return 4 * half - 2 * _ball_count(2, R) - line0
 
 
 def h1_counting_constant() -> float:

@@ -27,9 +27,9 @@ structure table, adapted rows, weights and layers.
 ``liespec.weighted.contract`` must give the same four bit for bit.
 
 ``_ball_count`` is the torus lattice count as the library computed it
-before it summed divisors: one ``_isqrt`` pass per lattice line for n = 2,
-and a Python recursion over the first axis for n >= 3.  Its body is kept
-verbatim; ``liespec.spectral._ball_count`` must give the same integers.
+before it summed divisors: one ``_isqrt`` call over every lattice line for
+n = 2, and a Python recursion over the first axis for n >= 3.  Its body is
+kept verbatim; ``liespec.spectral._ball_count`` must give the same integers.
 """
 
 from __future__ import annotations

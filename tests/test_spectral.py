@@ -387,7 +387,7 @@ class TestDistributionConsistency:
         assert abs(heat_trace_l2(HEIS, t) - oracle) / oracle < 1e-6
 
 
-# Largest R whose box of side 2 isqrt(R) + 1 stays near 1e5 entries
+# Largest R per n whose box, side 2 isqrt(R) + 1, holds at most ~1.6e5 points
 ENUM_MAX_R = {1: 10_000, 2: 2_500, 3: 400, 4: 81, 5: 25}
 
 
@@ -399,8 +399,9 @@ def enumerated_ball_count(n, R):
 
 
 def hyperbola_divisor_sum(R):
-    """S(R) = sum_m T(floor(R/m)), T(q) = q(q+1)/2, split at u = isqrt(R)
-    by Dirichlet's hyperbola method."""
+    """S(R) = sum_m T(floor(R/m)), T(q) = q(q+1)/2, by Dirichlet's hyperbola
+    method: sum_{d <= u} d floor(R/d) + sum_{m <= u} T(floor(R/m)) - u T(u),
+    u = isqrt(R)."""
     u = math.isqrt(R)
     return (sum(d * (R // d) + (R // d) * (R // d + 1) // 2
                 for d in range(1, u + 1)) - u * u * (u + 1) // 2)
@@ -456,7 +457,8 @@ class TestTorusLatticeCounts:
         R = math.ceil(s / (4 * math.pi ** 2)) - 1
         count = make_backend("torus4").count(s)
         assert type(count) is int
-        jacobi = 1 + 8 * hyperbola_divisor_sum(R) - 32 * hyperbola_divisor_sum(R // 4)
+        S = hyperbola_divisor_sum
+        jacobi = 1 + 8 * S(R) - 32 * S(R // 4)
         assert count + 1 == jacobi
         # the lattice count of the 4-ball: volume (pi^2/2) R^2 + O(R log R)
         assert abs(jacobi - math.pi ** 2 / 2 * R * R) < 2 * R * math.log(R)
@@ -477,14 +479,14 @@ class TestTorusLatticeCounts:
         def unreachable(a):
             raise AssertionError("_isqrt called past the int64 limit")
         monkeypatch.setattr(spectral, "_isqrt", unreachable)
-        s = 4.0 * math.pi ** 2 * 2 ** 62       # the first s whose R is 2^62
+        s = 4.0 * math.pi ** 2 * 2 ** 62   # then the first s with R >= 2^62
         while math.ceil(s / (4.0 * math.pi ** 2)) - 1 < 2 ** 62:
             s = math.nextafter(s, math.inf)
         for n in (2, 3):
             with pytest.raises(ValueError, match=re.escape(f"s={s!r}")) as err:
                 counting_function(make_backend(f"torus{n}"), s)
             assert "2^62" in str(err.value)
-        # torus1 and torus4 count in Python ints: no limit
+        # torus1 counts in Python ints: no limit
         R = math.ceil(s / (4.0 * math.pi ** 2)) - 1
         assert TORUS1.count(s) == 2 * math.isqrt(R)
 
